@@ -1,8 +1,7 @@
-"""Compare the compiled kernels against the pure-Python fallback.
+"""Compare the compiled sieve kernel against the pure-Python fallback.
 
-Times the two operations that dominate real workloads: the mod-p sieve row
-(one full B_k table per prime) and power-sum extraction. Run from a checkout
-with the extension built:
+Times the operation that dominates real workloads: the mod-p sieve row (one
+full B_k table per prime). Run from a checkout with the extension built:
 
     python benchmarks/bench_kernels.py
     python benchmarks/bench_kernels.py --primes 1009 4001 10007 --repeats 5
@@ -35,29 +34,6 @@ def bench_sieve(primes, repeats):
         )
 
 
-def bench_power_sum(repeats):
-    cases = [
-        (1148, 37, 2, 2),
-        (2538, 59, 2, 2),
-        (107430, 149, 2, 2),
-        (272876, 337, 2, 1),
-    ]
-    print(f"\n{'power sum':>22} {'pure (s)':>10} {'native (s)':>11} {'speedup':>8}")
-    for n, p, m, K in cases:
-        label = f"n={n} p={p}"
-        got_pure = pure.power_sum(n, p, m, K)
-        got_native = _native.power_sum_u64(n, p, m, K)
-        assert got_pure == got_native, f"backend mismatch at {label}"
-        pure_best, _ = _best_of(lambda: pure.power_sum(n, p, m, K), repeats)
-        native_best, _ = _best_of(
-            lambda: _native.power_sum_u64(n, p, m, K), repeats
-        )
-        print(
-            f"{label:>22} {pure_best:>10.4f} {native_best:>11.4f} "
-            f"{pure_best / native_best:>7.1f}x"
-        )
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -75,7 +51,6 @@ def main():
             "(pip install -e . --no-build-isolation)"
         )
     bench_sieve(args.primes, args.repeats)
-    bench_power_sum(args.repeats)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,7 @@
 """Kernel backend selection.
 
 The compiled extension is used when present; BERNPAIRS_PURE_PYTHON=1 forces the
-numpy/bigint fallback. Dispatch happens per call for power_sum because the
-native path only covers moduli below 2^63.
+numpy fallback.
 """
 
 from __future__ import annotations
@@ -33,8 +32,3 @@ def bern_even_residues(p: int) -> List[int]:
         return _native.bern_even_residues(p)
     return pure.bern_even_residues(p)
 
-
-def power_sum(n: int, p: int, m: int, K: int) -> int:
-    if _native is not None and p ** (m + K) < 1 << 63:
-        return _native.power_sum_u64(n, p, m, K)
-    return pure.power_sum(n, p, m, K)

@@ -1,35 +1,15 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True, language_level=3
-"""Native kernels: mod-p Bernoulli sieve and power sums.
+"""Native kernel: the mod-p Bernoulli sieve.
 
-Contracts match _kernels.pure exactly; see the docstrings there. The sieve
+The contract matches _kernels.pure exactly; see the docstring there. The sieve
 keeps row entries reduced below p (u32, conditional subtract) and accumulates
-the dot product in u64, safe while p^3/2 < 2^63, i.e. p < 2.6e6. power_sum_u64
-requires the full modulus p^(m+K) to fit in 63 bits; the dispatcher falls back
-to the big-int path otherwise.
+the dot product in u64, safe while p^3/2 < 2^63, i.e. p < 2.6e6.
 """
 
 from libc.stdlib cimport free, malloc
 
 ctypedef unsigned long long u64
 ctypedef unsigned int u32
-
-cdef extern from *:
-    ctypedef unsigned long long u128 "unsigned __int128"
-
-
-cdef inline u64 _mulmod(u64 a, u64 b, u64 m) nogil:
-    return <u64>((<u128> a * b) % m)
-
-
-cdef u64 _powmod(u64 a, u64 e, u64 m) nogil:
-    cdef u64 r = 1 % m
-    a = a % m
-    while e:
-        if e & 1:
-            r = _mulmod(r, a, m)
-        a = _mulmod(a, a, m)
-        e >>= 1
-    return r
 
 
 def bern_even_residues(int p):
@@ -75,16 +55,3 @@ def bern_even_residues(int p):
     free(C); free(B); free(inv)
     return out
 
-
-def power_sum_u64(u64 n, u64 p, int m, int K):
-    """sum_{a=1}^{p^m - 1} a^n mod p^(m+K); caller guarantees p^(m+K) < 2^63."""
-    cdef u64 mod = 1, N = 1, acc = 0, a
-    cdef int i
-    for i in range(m + K):
-        mod *= p
-    for i in range(m):
-        N *= p
-    with nogil:
-        for a in range(1, N):
-            acc = (acc + _powmod(a, n, mod)) % mod
-    return acc

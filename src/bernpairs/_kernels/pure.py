@@ -1,7 +1,7 @@
-"""Pure-Python kernels (numpy for the sieve, big ints for power sums).
+"""Pure-Python kernel: the mod-p Bernoulli sieve on numpy.
 
-Same contracts as the native module; selected when the extension is missing or
-BERNPAIRS_PURE_PYTHON=1. Correctness notes live with each function since the
+Same contract as the native module; selected when the extension is missing or
+BERNPAIRS_PURE_PYTHON=1. Correctness notes live with the function since the
 native code mirrors them.
 """
 
@@ -10,6 +10,8 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
+
+from ..errors import ResourceLimit
 
 
 def bern_even_residues(p: int) -> List[int]:
@@ -24,10 +26,17 @@ def bern_even_residues(p: int) -> List[int]:
     product per n. Row entries are left unreduced for up to `grow` rows so the
     mod pass runs rarely; `grow` is sized so the int64 dot product cannot
     overflow: entries < 2^grow * p and the dot has at most p terms of size
-    entry * p, so 2^grow * p^3 must stay under 2^63.
+    entry * p, so 2^grow * p^3 must stay under 2^63. With grow clamped to 1
+    that needs p^3 < 2^62, the native bound, enforced here before allocating.
     """
     if p < 5 or p % 2 == 0:
         raise ValueError(f"need an odd prime >= 5, got {p}")
+    if p**3 >= 1 << 62:
+        raise ResourceLimit(
+            f"sieve row for p={p} needs p^3 < 2^62 for its int64 dot products",
+            needed=p**3,
+            limit=1 << 62,
+        )
     inv = np.zeros(p, dtype=np.int64)
     inv[1] = 1
     for i in range(2, p):
@@ -58,8 +67,3 @@ def bern_even_residues(p: int) -> List[int]:
         B[n] = (p - acc * int(inv[m]) % p) % p
     return B.tolist()
 
-
-def power_sum(n: int, p: int, m: int, K: int) -> int:
-    """sum_{a=1}^{p^m - 1} a^n mod p^(m+K), with plain big-int pow."""
-    mod = p ** (m + K)
-    return sum(pow(a, n, mod) for a in range(1, p**m)) % mod

@@ -111,12 +111,14 @@ def integer_nth_root(x: int, n: int) -> int:
         return x
     if n == 2:
         return math.isqrt(x)
-    r = int(round(x ** (1.0 / n)))
-    while r > 0 and r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    # integer Newton from above: 2^ceil(bits/n) > x^(1/n), and each step
+    # stays >= the floor root (AM-GM) while it strictly falls above it
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 def phi_prime_power(p: int, j: int) -> int:

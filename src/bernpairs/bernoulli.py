@@ -3,27 +3,33 @@
 Conventions: B_n from z/(e^z - 1), so B_1 = -1/2 and B_n = 0 for odd n >= 3.
 num(q) means the absolute numerator of q in lowest terms.
 
-Three computation routes, each validated against the others in tests:
+Two routes, checked against each other in tests:
 
 * exact: B_2k = (-1)^(k-1) * 2k * T_k / (2^2k * (2^2k - 1)) with tangent
   numbers T_k from an in-place integer recurrence; a global T cache grows
   geometrically, so one big request amortizes everything below it.
-* one prime, all indices: the defining recurrence mod p (kernel, O(p^2)).
-* one index mod p^k: Kummer reduction of the index below phi(p^k), then
-  either the exact route (small index) or power-sum extraction
-  B_n ≡ S_n(p^m)/p^m mod p^K where S_n(N) = sum_{a<N} a^n. The defect of
-  that congruence has p-valuation >= 2m - 1 - v_p(n+1) for even n >= 4,
-  so m = ceil((K + 1 + v_p(n+1)) / 2) digits of headroom suffice, with
-  K = k + v_p(n) covering the later division by n.
+* Faulhaber, one index mod p^k: with S_j(p) = sum_{a<p} a^j,
+
+      p B_j = S_j(p) - sum_{i>=1} C(j,2i) (p B_(j-2i)) p^(2i)/(2i+1)
+              + p^j/2 - p^(j+1)/(j+1),
+
+  where p B_j is a p-adic integer for every even j (von Staudt-Clausen).
+  Working mod p^L, term i needs p B_(j-2i) only mod p^(L - 2i + v_p(2i+1)),
+  so the recursion is short and costs p modular powers per level. B_n/n
+  mod p^k then comes from L = k + v_p(n) + 1 by dividing out p and n.
+
+The table of B_k mod p for one prime and all k comes from the sieve kernel
+in _kernels.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from . import _kernels
-from .arith import Residue, is_prime, rational_mod
+from .arith import Residue, is_prime
 from .config import LIMITS
 from .errors import PoleAtIndex, ResourceLimit
 
@@ -93,49 +99,38 @@ def _vp(x: int, p: int) -> int:
     return v
 
 
-def _divided_exact(n: int, p: int, k: int) -> int:
-    """B_n/n mod p^k straight from the exact rational."""
-    return rational_mod(bernoulli_exact(n) / n, p**k).value
+def _unit_over(e: int, q: int, p: int, M: int) -> int:
+    """p^e / q mod M, a power of p, for q with v_p(q) <= e."""
+    v = _vp(q, p)
+    return pow(p, e - v, M) * pow(q // p**v, -1, M) % M
 
 
-def _divided_power_sum(n: int, p: int, k: int) -> int:
-    """B_n/n mod p^k by power-sum extraction; even n >= 4, (p-1) not dividing n."""
-    pk = p**k
-    v = _vp(n, p)
-    K = k + v
-    m = (K + 1 + _vp(n + 1, p) + 1) // 2
-    terms = p**m
-    if terms > LIMITS.power_sum_terms:
-        raise ResourceLimit(
-            f"power-sum extraction for B_{n} mod {p}^{k} needs {terms} terms, "
-            f"over the cap {LIMITS.power_sum_terms}",
-            needed=terms,
-            limit=LIMITS.power_sum_terms,
-        )
-    S = _kernels.power_sum(n, p, m, K)
-    pm = p**m
-    if S % pm:
-        raise AssertionError(f"power sum S_{n}({p}^{m}) not divisible by {p}^{m}")
-    b = (S // pm) % p**K
-    if b % p**v:
-        raise AssertionError(f"B_{n} mod {p}^{K} lost p-integrality of B_{n}/{n}")
-    return b // p**v * pow(n // p**v, -1, pk) % pk
-
-
-def _divided_core(n: int, p: int, k: int) -> int:
-    """B_n/n mod p^k for even n >= 2 with (p-1) not dividing n, as a plain int."""
-    cache_covers = n // 2 <= len(_tangent)
-    if n <= LIMITS.max_exact_n and (n <= LIMITS.exact_cutoff or cache_covers or n == 2):
-        return _divided_exact(n, p, k)
-    return _divided_power_sum(n, p, k)
+def _p_bernoulli(j: int, p: int, L: int, memo: Dict[Tuple[int, int], int]) -> int:
+    """p*B_j mod p^L for even j >= 2 (p-integral for every j, poles included)."""
+    key = (j, L)
+    if key in memo:
+        return memo[key]
+    M = p**L
+    acc = sum(pow(a, j, M) for a in range(1, p)) + pow(p, j, M) * pow(2, -1, M)
+    acc -= _unit_over(j + 1, j + 1, p, M)
+    # term i has valuation >= 2i - v_p(2i+1) > 2i - bit_length(2i+1)
+    i = 1
+    while 2 * i <= j - 2 and 2 * i - (2 * i + 1).bit_length() < L:
+        q = 2 * i + 1
+        L_i = L - 2 * i + _vp(q, p)
+        if L_i > 0:
+            x = _p_bernoulli(j - 2 * i, p, L_i, memo)
+            acc -= math.comb(j, 2 * i) % M * x * _unit_over(2 * i, q, p, M)
+        i += 1
+    memo[key] = acc % M
+    return memo[key]
 
 
 def divided_bernoulli_mod_pk(n: int, p: int, k: int) -> Residue:
     """B_n/n mod p^k for even n >= 2, odd prime p, k >= 1.
 
     Raises PoleAtIndex when (p-1) | n (the value is not p-integral there).
-    Large indices are reduced below phi(p^k) along their Kummer class, on
-    which (1 - p^(n-1)) B_n/n is constant mod p^k.
+    Computed from p*B_n mod p^(k + v_p(n) + 1) by Faulhaber's identity.
     """
     if n < 2 or n % 2 == 1:
         raise ValueError(f"need an even index n >= 2, got {n}")
@@ -145,12 +140,11 @@ def divided_bernoulli_mod_pk(n: int, p: int, k: int) -> Residue:
         raise ValueError(f"{p} is not an odd prime")
     if n % (p - 1) == 0:
         raise PoleAtIndex(n, p)
+    v = _vp(n, p)
+    x = _p_bernoulli(n, p, k + v + 1, {})
+    if x % p ** (v + 1):
+        raise AssertionError(
+            f"p*B_{n} mod {p}^{k + v + 1} lost p-integrality of B_{n}/{n}"
+        )
     pk = p**k
-    phi = p ** (k - 1) * (p - 1)
-    n_red = n % phi
-    if n_red == n:
-        return Residue(_divided_core(n, p, k), pk)
-    base = _divided_core(n_red, p, k)
-    e_red = (1 - pow(p, n_red - 1, pk)) % pk
-    e_orig = (1 - pow(p, n - 1, pk)) % pk
-    return Residue(base * e_red % pk * pow(e_orig, -1, pk), pk)
+    return Residue(x // p ** (v + 1) * pow(n // p**v, -1, pk) % pk, pk)

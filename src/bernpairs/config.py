@@ -17,15 +17,7 @@ from dataclasses import dataclass
 class Limits:
     # Exact rational Bernoulli numbers: indices above this raise ResourceLimit.
     max_exact_n: int = 20000
-    # Exact path is preferred below this index when nothing is cached yet;
-    # above it the power-sum route is usually cheaper for modular queries.
-    exact_cutoff: int = 4096
-    # Power-sum extraction: cap on the number of summation terms (p^m).
-    power_sum_terms: int = 1 << 31
-    # Digit-lifting feasibility: order 2 allowed for p below this bound,
-    # order 3 below the next, nothing beyond lift_max_order.
-    lift_order2_max_p: int = 1000
-    lift_order3_max_p: int = 50
+    # Digit lifting: nothing beyond this many digits.
     lift_max_order: int = 3
     # minimal_composite may sieve primes on demand up to this cap.
     sieve_cap: int = 20000

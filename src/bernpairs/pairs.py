@@ -21,7 +21,7 @@ import multiprocessing
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _kernels
 from .arith import is_prime, phi_prime_power
@@ -254,21 +254,20 @@ def load_database(path: str) -> PairDatabase:
     return PairDatabase.load(path)
 
 
-def _sieve_many(ps: Sequence[int], jobs: Optional[int]) -> Dict[int, List[int]]:
-    """Zero indices for each prime in ps; dispatched largest-first when pooled
-    because the per-prime cost grows like p^2. Content is order-independent."""
-    results: Dict[int, List[int]] = {}
+def _pool_map(fn: Callable, work: Sequence, jobs: Optional[int], chunksize: int) -> List:
+    """fn over work, inline when jobs <= 1 or work is short, else in a pool of
+    jobs processes (None: all cores) that returns results in completion order."""
     jobs = os.cpu_count() or 1 if jobs is None else jobs
-    if jobs <= 1 or len(ps) < 4:
-        for p in ps:
-            results[p] = _sieve_worker(p)[1]
-    else:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            for p, zeros in pool.imap_unordered(
-                _sieve_worker, sorted(ps, reverse=True), chunksize=4
-            ):
-                results[p] = zeros
-    return results
+    if jobs <= 1 or len(work) < 4:
+        return [fn(w) for w in work]
+    with multiprocessing.Pool(processes=jobs) as pool:
+        return list(pool.imap_unordered(fn, work, chunksize=chunksize))
+
+
+def _sieve_many(ps: Sequence[int], jobs: Optional[int]) -> Dict[int, List[int]]:
+    """Zero indices for each prime in ps; dispatched largest-first because the
+    per-prime cost grows like p^2. Content is order-independent."""
+    return dict(_pool_map(_sieve_worker, sorted(ps, reverse=True), jobs, 4))
 
 
 def build_database(max_p: int, jobs: Optional[int] = None) -> PairDatabase:
@@ -303,30 +302,11 @@ def delta(pair: IrregularPair) -> DeltaValue:
     return DeltaValue(pair, diff // p)
 
 
-def _check_lift_feasible(p: int, order: int) -> None:
-    if order <= 1:
-        return
-    if order > LIMITS.lift_max_order:
-        raise ResourceLimit(
-            f"lifting to order {order} is beyond the configured maximum "
-            f"{LIMITS.lift_max_order}",
-            needed=order,
-            limit=LIMITS.lift_max_order,
-        )
-    bound = LIMITS.lift_order2_max_p if order == 2 else LIMITS.lift_order3_max_p
-    if p >= bound:
-        raise ResourceLimit(
-            f"order-{order} lifting is limited to p < {bound}, got p={p}",
-            needed=p,
-            limit=bound,
-        )
-
-
 def lift_digits(pair: IrregularPair) -> Iterator[int]:
     """Yield s_1 = l, then each further lifting digit on demand.
 
-    Feasibility limits are checked lazily, so consuming few digits never pays
-    for (or errors on) deeper orders. Raises DeltaZero when the slope
+    The order limit is checked lazily, so consuming few digits never pays for
+    (or errors on) deeper orders. Raises DeltaZero when the slope
     vanishes; raises NotIrregular for a non-pair.
     """
     p, l = pair.p, pair.l
@@ -338,7 +318,13 @@ def lift_digits(pair: IrregularPair) -> Iterator[int]:
     l_j = l
     j = 1
     while True:
-        _check_lift_feasible(p, j + 1)
+        if j + 1 > LIMITS.lift_max_order:
+            raise ResourceLimit(
+                f"lifting to order {j + 1} is beyond the configured maximum "
+                f"{LIMITS.lift_max_order}",
+                needed=j + 1,
+                limit=LIMITS.lift_max_order,
+            )
         pj = p**j
         w = divided_bernoulli_mod_pk(l_j, p, j + 1).value
         if w % pj:
@@ -394,12 +380,7 @@ def _scan_worker(args: Tuple[int, int]) -> Tuple[int, int, Optional[int], str]:
 def scan_special_order2(db: PairDatabase, jobs: Optional[int] = None) -> ScanReport:
     """Lift every pair in db to order 2 and report the s_2 = s_1 - 1 hits."""
     work = [(q.p, q.l) for q in db.all_pairs()]
-    jobs = os.cpu_count() or 1 if jobs is None else jobs
-    if jobs <= 1 or len(work) < 4:
-        rows = [_scan_worker(w) for w in work]
-    else:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            rows = list(pool.imap_unordered(_scan_worker, work, chunksize=1))
+    rows = _pool_map(_scan_worker, work, jobs, 1)
     report = ScanReport(max_p=db.max_p)
     for p, l, s2, err in sorted(rows):
         pair = IrregularPair(p, l)

@@ -13,11 +13,10 @@ import time
 
 import pytest
 
-from bernpairs.arith import primes_below
+from bernpairs.arith import primes_below, rational_mod
 from bernpairs.bernoulli import (
-    _divided_exact,
-    _divided_power_sum,
     bernoulli_exact,
+    divided_bernoulli_mod_pk,
     numerator_pair,
 )
 from bernpairs.composite import (
@@ -170,6 +169,14 @@ def test_criterion_7_order2_lifts():
     )
 
 
+def _exact_divided(n, p, k):
+    return rational_mod(bernoulli_exact(n) / n, p**k).value
+
+
+def _divided(n, p, k):
+    return divided_bernoulli_mod_pk(n, p, k).value
+
+
 def _suite_kummer_congruences():
     rng = random.Random(37)
     ps = [p for p in primes_below(51) if p >= 5]
@@ -180,8 +187,8 @@ def _suite_kummer_congruences():
             continue
         t = rng.randint(1, (1180 - n) // (p - 1))
         n2 = n + t * (p - 1)
-        # cross-route: power sums at n, exact rationals at the shifted index
-        assert _divided_power_sum(n, p, 1) == _divided_exact(n2, p, 1)
+        # cross-route: Faulhaber at n, exact rationals at the shifted index
+        assert _divided(n, p, 1) == _exact_divided(n2, p, 1)
     for _ in range(20):
         p = rng.choice([5, 7, 11, 13])
         phi = p * (p - 1)
@@ -190,8 +197,8 @@ def _suite_kummer_congruences():
             continue
         n2 = n + phi
         pk = p * p
-        w = _divided_power_sum(n, p, 2)
-        w2 = _divided_exact(n2, p, 2)
+        w = _divided(n, p, 2)
+        w2 = _exact_divided(n2, p, 2)
         e = (1 - pow(p, n - 1, pk)) % pk
         e2 = (1 - pow(p, n2 - 1, pk)) % pk
         assert w * e % pk == w2 * e2 % pk
@@ -203,13 +210,13 @@ def _suite_progression_divisibility():
     db = build_database(200, jobs=1)
     for q in db.all_pairs():
         for k in range(4):
-            assert _divided_power_sum(q.l + k * (q.p - 1), q.p, 1) == 0
+            assert _divided(q.l + k * (q.p - 1), q.p, 1) == 0
     db400 = build_database(400, jobs=1)
     for q in db400.all_pairs():
         l2 = lift(q, 2).index
         phi2 = q.p * (q.p - 1)
         for k in (0, 1):
-            assert _divided_power_sum(l2 + k * phi2, q.p, 2) == 0
+            assert _divided(l2 + k * phi2, q.p, 2) == 0
 
 
 def _suite_von_staudt_clausen():

@@ -97,6 +97,17 @@ def test_integer_nth_root(x, n):
     assert r**n <= x < (r + 1) ** n
 
 
+def test_integer_nth_root_beyond_float_range():
+    for n in (3, 5, 7):
+        r = integer_nth_root(10**400, n)
+        assert r**n <= 10**400 < (r + 1) ** n
+    for k in (10**20 + 39, 3**200, 2**521 - 1):
+        for n in (2, 3, 4, 9):
+            assert integer_nth_root(k**n - 1, n) == k - 1
+            assert integer_nth_root(k**n, n) == k
+            assert integer_nth_root(k**n + 1, n) == k
+
+
 def test_phi_prime_power():
     assert phi_prime_power(37, 1) == 36
     assert phi_prime_power(37, 2) == 37 * 36

@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 
 from bernpairs.arith import primes_below, rational_mod
 from bernpairs.bernoulli import (
-    _divided_exact,
-    _divided_power_sum,
     bernoulli_exact,
     bernoulli_mod_p_all,
     divided_bernoulli_mod_pk,
@@ -24,6 +22,11 @@ from bernpairs.bernoulli import (
 )
 from bernpairs.config import LIMITS
 from bernpairs.errors import PoleAtIndex, ResourceLimit
+
+
+def exact_divided(n, p, k):
+    """B_n/n mod p^k straight from the exact rational."""
+    return rational_mod(bernoulli_exact(n) / n, p**k).value
 
 
 def naive_bernoulli(count):
@@ -93,21 +96,30 @@ def test_mod_p_table_irregular_zeros():
     assert all(not r.is_zero() for r in bernoulli_mod_p_all(31).values())
 
 
-def test_power_sum_equals_exact_on_overlap():
-    # every even n <= 400, prime p <= 100, k <= 3 where both routes apply
+def test_faulhaber_equals_exact_on_overlap():
+    # every even n <= 400, prime 5 <= p <= 100, k <= 3 off the poles
     checked = 0
     for p in primes_below(101):
         if p < 5:
             continue
-        for n in range(4, 401, 2):
+        for n in range(2, 401, 2):
             if n % (p - 1) == 0:
                 continue
             for k in (1, 2, 3):
-                assert _divided_power_sum(n, p, k) == _divided_exact(n, p, k), (
-                    f"power-sum route disagrees at n={n}, p={p}, k={k}"
+                got = divided_bernoulli_mod_pk(n, p, k).value
+                assert got == exact_divided(n, p, k), (
+                    f"Faulhaber route disagrees at n={n}, p={p}, k={k}"
                 )
                 checked += 1
     assert checked > 10000
+
+
+def test_faulhaber_multiword_modulus():
+    # 5^26 > 2^60: precision well past one machine word, including n = 2
+    for n in (2, 6, 398):
+        got = divided_bernoulli_mod_pk(n, 5, 26)
+        assert got.modulus == 5**26 >= 1 << 60
+        assert got.value == exact_divided(n, 5, 26), n
 
 
 @given(st.sampled_from([5, 7, 11, 13]), st.integers(2, 490))
@@ -122,15 +134,15 @@ def test_kummer_congruence_from_exact_rationals(p, half):
     if n % (p - 1) == 0 or n + phi > 1150:
         return
     pk = p * p
-    w = _divided_exact(n, p, 2)
-    w2 = _divided_exact(n + phi, p, 2)
+    w = exact_divided(n, p, 2)
+    w2 = exact_divided(n + phi, p, 2)
     e = (1 - pow(p, n - 1, pk)) % pk
     e2 = (1 - pow(p, n + phi - 1, pk)) % pk
     assert w * e % pk == w2 * e2 % pk
 
 
 def test_index_reduction_end_to_end():
-    # large-index calls must agree with the exact rational at the same index
+    # indices past phi(p^k) must agree with the exact rational at the same index
     cases = []
     for t in (1, 3, 17):
         cases.append((316 + t * 36, 37, 1))
@@ -141,7 +153,7 @@ def test_index_reduction_end_to_end():
         assert n % (p - 1) != 0
         got = divided_bernoulli_mod_pk(n, p, k)
         assert got.modulus == p**k
-        assert got.value == _divided_exact(n, p, k), (n, p, k)
+        assert got.value == exact_divided(n, p, k), (n, p, k)
 
 
 def test_pole_at_index():

@@ -125,7 +125,7 @@ def test_prime_power_no_solution(db160):
     assert isinstance(res, NoSolution)
     assert res.deviated_at == 2  # s_2 = 190, not 185
 
-    # deviation at digit 2 short-circuits before the (infeasible) order-3 lift
+    # deviation at digit 2 short-circuits before the order-3 lift
     res = a_value_prime_power(IrregularPair(647, 554), 3, db160)
     assert isinstance(res, NoSolution)
     assert res.deviated_at == 2

@@ -3,13 +3,15 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from bernpairs import _kernels
 from bernpairs._kernels import pure
-from bernpairs.arith import primes_below, rational_mod
+from bernpairs.arith import is_prime, primes_below, rational_mod
 from bernpairs.bernoulli import bernoulli_exact
+from bernpairs.errors import ResourceLimit
 
 native = _kernels._native
 needs_native = pytest.mark.skipif(
@@ -52,30 +54,18 @@ def test_native_sieve_matches_pure():
         assert native.bern_even_residues(p) == pure.bern_even_residues(p)
 
 
-@needs_native
-def test_native_power_sum_matches_pure():
-    cases = [
-        (4, 5, 2, 1),
-        (32, 37, 2, 2),
-        (44, 59, 2, 3),
-        (100, 7, 3, 2),
-        (12, 11, 1, 1),
-    ]
-    for n, p, m, K in cases:
-        assert native.power_sum_u64(n, p, m, K) == pure.power_sum(n, p, m, K)
-
-
-def test_power_sum_dispatch_handles_large_modulus():
-    # p^(m+K) beyond 2^63 must take the big-int path and stay correct
-    n, p, m, K = 8, 5, 2, 26
-    assert p ** (m + K) >= 1 << 63
-    mod = p ** (m + K)
-    expect = sum(pow(a, n, mod) for a in range(1, p**m)) % mod
-    assert _kernels.power_sum(n, p, m, K) == expect
-
-
 def test_pure_sieve_validation():
     with pytest.raises(ValueError):
         pure.bern_even_residues(4)
     with pytest.raises(ValueError):
         pure.bern_even_residues(3)
+
+
+def test_pure_sieve_refuses_overflow():
+    # first prime with p^3 >= 2^62; refused before any O(p) allocation
+    p = 1664543
+    assert is_prime(p) and (p - 42) ** 3 < 1 << 62 <= p**3  # p - 42 is prime
+    t0 = time.monotonic()
+    with pytest.raises(ResourceLimit):
+        pure.bern_even_residues(p)
+    assert time.monotonic() - t0 < 1

@@ -256,21 +256,30 @@ def test_lift_truncation_consistency():
 def test_lift_feasibility_limits(db6500):
     with pytest.raises(ResourceLimit):
         lift(IrregularPair(37, 32), 4)  # beyond max order
-    with pytest.raises(ResourceLimit):
-        lift(IrregularPair(59, 44), 3)  # order 3 needs p < 50
-    big = next(q for q in db6500.all_pairs() if q.p > 1000)
-    with pytest.raises(ResourceLimit):
-        lift(big, 2)  # order 2 needs p < 1000
     with pytest.raises(ValueError):
         lift(IrregularPair(37, 32), 0)
+    # no p-range bound on order 3: the digit is the unique brute-force hit
+    l2 = lift(IrregularPair(59, 44), 2).index
+    hits3 = [
+        s
+        for s in range(59)
+        if divided_bernoulli_mod_pk(l2 + s * 58 * 59, 59, 3).value == 0
+    ]
+    assert len(hits3) == 1
+    assert lift(IrregularPair(59, 44), 3).digits[2] == hits3[0]
+    # nor on order 2
+    big = next(q for q in db6500.all_pairs() if q.p > 1000)
+    op = lift(big, 2)
+    assert divided_bernoulli_mod_pk(op.index, big.p, 2).value == 0
 
 
 def test_lift_digits_is_lazy():
     gen = lift_digits(IrregularPair(353, 186))
     assert next(gen) == 186
     assert next(gen) == 190
+    next(gen)
     with pytest.raises(ResourceLimit):
-        next(gen)  # order 3 infeasible for p = 353, but only when asked
+        next(gen)  # order 4 is beyond the maximum, but only when asked
 
 
 def test_ordered_pair_index():
