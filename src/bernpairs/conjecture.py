@@ -12,6 +12,11 @@ coprimality test.
 Prime powers p^r need the order-r lifting digits to all equal l-1; the first
 deviating digit kills the solution (NoSolution records where), and no deeper
 digit is ever computed than the first deviation requires.
+
+The ratio itself never needs B_m as a rational. With N = num(B_m/m), the
+ratio is gcd(N, m-1) = prod q^min(e, v_q(B_m/m)) over q^e exactly dividing
+m-1; a q with (q-1) | m sits in denom(B_m) (von Staudt-Clausen) and not in m,
+so it contributes 1, and every other q needs only B_m/m mod q^e.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from .arith import factorize
-from .bernoulli import numerator_pair
+from .bernoulli import divided_bernoulli_mod_pk
 from .pairs import IrregularPair, PairDatabase, lift_digits
 
 
@@ -122,8 +127,24 @@ def find_exceptions(db: PairDatabase) -> List[ExceptionRecord]:
 
 
 def verify_ratio(m: int) -> int:
-    """num(B_m/m) / num(B_m/(m(m-1))) for even m >= 2, as an exact integer."""
-    n1, n2 = numerator_pair(m)
-    if n1 % n2:
-        raise AssertionError(f"numerator of B_{m}/{m}({m}-1) does not divide through")
-    return n1 // n2
+    """num(B_m/m) / num(B_m/(m(m-1))) for even m >= 2, as an exact integer.
+
+    Computed as gcd(num(B_m/m), m-1) = prod q^min(e, v_q(B_m/m)) over the
+    prime powers q^e exactly dividing m-1, skipping q with (q-1) | m (among
+    them q = 3), where B_m/m has a pole. Each remaining q costs one residue
+    B_m/m mod q^e, about q modular powers per recursion level, so the largest
+    prime factor of m-1 sets the cost.
+    """
+    if m < 2 or m % 2 == 1:
+        raise ValueError(f"need an even m >= 2, got {m}")
+    ratio = 1
+    for q, e in factorize(m - 1):
+        if m % (q - 1) == 0:
+            continue
+        x = divided_bernoulli_mod_pk(m, q, e).value
+        k = 0
+        while k < e and x % q == 0:
+            x //= q
+            k += 1
+        ratio *= q**k
+    return ratio

@@ -218,6 +218,15 @@ def _check_ratio_2538(ctx: _Ctx) -> Optional[str]:
     return _eq(verify_ratio(2538), 59)
 
 
+def _check_ratio_exception_rows(ctx: _Ctx) -> Optional[str]:
+    # the witness prime joins p in the ratio at each candidate index
+    got = [verify_ratio(m) for _pair, m, _f, _w in _EXCEPTION_ROWS]
+    want = [
+        p * math.prod(q for q, _ in wits) for (p, _l), _m, _f, wits in _EXCEPTION_ROWS
+    ]
+    return _eq(got, want)
+
+
 def _check_crt_instance(ctx: _Ctx) -> Optional[str]:
     sol = crt_solve([(1147, 1332), (2537, 3422)])
     return _eq(sol, (272875, 2279052))
@@ -388,6 +397,7 @@ CHECKS: Tuple[Check, ...] = (
     Check("ratio/1148", True, _check_ratio_1148),
     Check("ratio/12", True, _check_ratio_12),
     Check("ratio/2538", True, _check_ratio_2538),
+    Check("ratio/exception-rows", True, _check_ratio_exception_rows),
     Check("crt/composite-instance", True, _check_crt_instance),
     Check("strong-friendly/37-59-101", True, _check_strong_friendly_triple),
     Check("friendly-not-strong/101-607", True, _check_friendly_not_strong_607),

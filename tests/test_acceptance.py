@@ -72,6 +72,8 @@ def test_criterion_1_sequence_reproduction():
 
 def test_criterion_2_exact_ground_truth():
     t0 = time.monotonic()
+    assert math.gcd(numerator_pair(1148)[0], 1147) == 37
+    assert math.gcd(numerator_pair(2538)[0], 2537) == 59
     assert verify_ratio(1148) == 37
     for m in range(32, 1148, 36):
         assert verify_ratio(m) != 37, f"ratio hit 37 early at m={m}"
@@ -81,8 +83,8 @@ def test_criterion_2_exact_ground_truth():
     elapsed = time.monotonic() - t0
     assert elapsed < 600
     print(
-        f"CRITERION 2 PASS: A(37)=1148 and A(59)=2538 from exact rationals, "
-        f"progressions clean below ({elapsed:.2f}s)"
+        f"CRITERION 2 PASS: A(37)=1148 and A(59)=2538 from exact rationals "
+        f"and residues, progressions clean below ({elapsed:.2f}s)"
     )
 
 
@@ -270,7 +272,8 @@ def _suite_lambda_lower_bound():
 
 
 def _suite_ratio_gcd_identity():
-    for m in range(2, 302, 2):
+    # residue route against exact rationals
+    for m in range(2, 1402, 2):
         n1, _ = numerator_pair(m)
         assert verify_ratio(m) == math.gcd(n1, m - 1)
 

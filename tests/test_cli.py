@@ -145,6 +145,9 @@ def test_ratio_line(capsys):
     assert capsys.readouterr().out == "ratio(12)=1\n"
     assert cli.main(["ratio", "--m", "1148"]) == 0
     assert capsys.readouterr().out == "ratio(1148)=37\n"
+    # the first exception row, far above the exact-rational cap
+    assert cli.main(["ratio", "--m", "31490468"]) == 0
+    assert capsys.readouterr().out == "ratio(31490468)=1657393\n"
 
 
 def test_usage_errors_exit_2():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernpairs.bernoulli import numerator_pair
+from bernpairs.composite import lambda_prime
 from bernpairs.conjecture import (
     AValueResult,
     NoSolution,
@@ -32,15 +33,40 @@ def test_ratio_frozen_values():
     assert verify_ratio(12) == 1
     assert verify_ratio(2) == 1
     assert verify_ratio(1148) == 37
+    assert verify_ratio(2370) == 103
     assert verify_ratio(2538) == 59
 
 
+def test_ratio_validation():
+    for m in (7, 0):
+        with pytest.raises(ValueError):
+            verify_ratio(m)
+
+
 def test_ratio_is_gcd_with_m_minus_1():
-    # the ratio equals gcd(num(B_m/m), m-1): dividing by m-1 can only strip
-    # numerator factors shared with m-1
-    for m in range(2, 302, 2):
+    # cross-route: the residue route against gcd(num(B_m/m), m-1) taken from
+    # exact rationals (dividing by m-1 strips only factors shared with m-1)
+    for m in range(2, 1402, 2):
         n1, _ = numerator_pair(m)
         assert verify_ratio(m) == math.gcd(n1, m - 1)
+
+
+@pytest.mark.parametrize("row", EXPECTED_EXCEPTIONS, ids=lambda r: str(r[1]))
+def test_ratio_at_exception_rows(row):
+    # at every row the witness prime divides the ratio alongside p, so the
+    # ratio at the candidate index is not p itself
+    (p, _l), m, _factors, witnesses = row
+    assert verify_ratio(m) == p * math.prod(q for q, _ in witnesses)
+
+
+def test_minimal_ratio_index_by_brute_force(db400):
+    # p | ratio forces p | m-1, so scan even m ≡ 1 (mod p) upwards for the
+    # first ratio divisible by p; no candidate formula or witness test is used
+    for p in db400.irregular_primes():
+        m = p + 1
+        while verify_ratio(m) % p:
+            m += 2 * p
+        assert m == lambda_prime(p, db400)
 
 
 def test_a_value_examples(db160):

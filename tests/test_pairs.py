@@ -214,8 +214,8 @@ def test_delta_rejects_regular_pair():
         lift(IrregularPair(41, 10), 2)
 
 
-def test_delta_nonzero_everywhere(db200):
-    for q in db200.all_pairs():
+def test_delta_nonzero_everywhere(db6500):
+    for q in db6500.all_pairs():
         assert delta(q).delta != 0
 
 
