@@ -1,9 +1,4 @@
-"""Pure-Python kernel: the mod-p Bernoulli sieve on numpy.
-
-Same contract as the native module; selected when the extension is missing or
-BERNPAIRS_PURE_PYTHON=1. Correctness notes live with the function since the
-native code mirrors them.
-"""
+"""The sieve kernel: B_k mod p for one prime and every even k, on numpy."""
 
 from __future__ import annotations
 
@@ -11,7 +6,7 @@ from typing import List
 
 import numpy as np
 
-from ..errors import ResourceLimit
+from .errors import ResourceLimit
 
 
 def bern_even_residues(p: int) -> List[int]:
@@ -27,7 +22,7 @@ def bern_even_residues(p: int) -> List[int]:
     mod pass runs rarely; `grow` is sized so the int64 dot product cannot
     overflow: entries < 2^grow * p and the dot has at most p terms of size
     entry * p, so 2^grow * p^3 must stay under 2^63. With grow clamped to 1
-    that needs p^3 < 2^62, the native bound, enforced here before allocating.
+    that needs p^3 < 2^62, enforced here before allocating.
     """
     if p < 5 or p % 2 == 0:
         raise ValueError(f"need an odd prime >= 5, got {p}")

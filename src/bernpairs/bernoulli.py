@@ -65,7 +65,7 @@ def bernoulli_exact(n: int) -> Fraction:
     if n > LIMITS.max_exact_n:
         raise ResourceLimit(
             f"exact Bernoulli index {n} exceeds the cap {LIMITS.max_exact_n} "
-            "(raise BERNPAIRS_MAX_EXACT_N to allow it)",
+            "(raise LIMITS.max_exact_n to allow it)",
             needed=n,
             limit=LIMITS.max_exact_n,
         )

@@ -36,6 +36,16 @@ from .errors import (
     ResourceLimit,
 )
 
+# CPython's builtin SHA-256: importing hashlib maps OpenSSL, about 3.5 MB
+# resident, which every run that loads this module would pay
+try:
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 
 @dataclass(frozen=True, order=True)
 class IrregularPair:
@@ -108,6 +118,18 @@ def sieve_prime(p: int) -> List[IrregularPair]:
 def _sieve_worker(p: int) -> Tuple[int, List[int]]:
     row = _kernels.bern_even_residues(p)
     return p, [k for k in range(2, p - 2, 2) if row[k] == 0]
+
+
+# v1 carries only the bound; v2 adds the row count and a digest of the body
+_HEADER = re.compile(
+    r"# bernpairs-db v(?P<version>[12]) max_p=(?P<max_p>\d+)"
+    r"(?: rows=(?P<rows>\d+) sha256=(?P<sha256>[0-9a-f]{64}))?"
+)
+
+
+def _body_digest(lines: Sequence[str]) -> str:
+    """SHA-256 of the body lines, each ended by a newline, as save writes them."""
+    return sha256("".join(f"{x}\n" for x in lines).encode("ascii")).hexdigest()
 
 
 class PairDatabase:
@@ -199,12 +221,17 @@ class PairDatabase:
 
     def save(self, path: str) -> None:
         # third field always present, empty when the delta was never computed
-        lines = [f"# bernpairs-db v1 max_p={self.max_p}"]
-        for p in sorted(self._entries):
-            for l, d in self._entries[p]:
-                lines.append(f"{p},{l}," if d is None else f"{p},{l},{d}")
+        rows = [
+            f"{p},{l}," if d is None else f"{p},{l},{d}"
+            for p in sorted(self._entries)
+            for l, d in self._entries[p]
+        ]
+        head = (
+            f"# bernpairs-db v2 max_p={self.max_p} rows={len(rows)} "
+            f"sha256={_body_digest(rows)}"
+        )
         with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join([head] + rows) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "PairDatabase":
@@ -212,10 +239,10 @@ class PairDatabase:
             raw = fh.read().splitlines()
         if not raw:
             raise FormatError(1, "empty file, expected a bernpairs-db header")
-        head = re.fullmatch(r"# bernpairs-db v1 max_p=(\d+)", raw[0].strip())
-        if not head:
+        head = _HEADER.fullmatch(raw[0].strip())
+        if not head or (head["version"] == "2") != (head["rows"] is not None):
             raise FormatError(1, f"bad header {raw[0]!r}")
-        max_p = int(head.group(1))
+        max_p = int(head["max_p"])
         entries: Dict[int, List[Tuple[int, Optional[int]]]] = {}
         seen = set()
         for lineno, line in enumerate(raw[1:], start=2):
@@ -243,6 +270,13 @@ class PairDatabase:
                 raise FormatError(lineno, f"duplicate pair ({p},{l})")
             seen.add((p, l))
             entries.setdefault(p, []).append((l, d))
+        if head["rows"] is not None:
+            if len(seen) != int(head["rows"]):
+                raise FormatError(
+                    1, f"header promises {head['rows']} rows, the body holds {len(seen)}"
+                )
+            if _body_digest(raw[1:]) != head["sha256"]:
+                raise FormatError(1, "body does not match the header's sha256")
         return cls(max_p, entries)
 
 

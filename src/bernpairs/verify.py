@@ -4,7 +4,7 @@ Every check recomputes one published quantity (sequence entries, table rows,
 lifting digits, minimality results) and compares exactly; there are no
 tolerances anywhere. Quick checks run in seconds; the full tier adds the
 database builds to p = 16000, the order-2 scans, and the composite-minimum
-search, a few minutes on the compiled kernel.
+search, a few minutes on the numpy sieve.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _pairs_of(db: PairDatabase) -> List[Tuple[int, int]]:
 
 
 # one tuple per reference exception row: pair, index, factors of l-1, witnesses
-_EXCEPTION_ROWS = (
+EXCEPTION_ROWS = (
     ((6449, 4884), 31490468, ((19, 1), (257, 1)), ((257, 164),)),
     ((8677, 2658), 23054790, ((2657, 1),), ((2657, 710),)),
     ((11351, 1044), 11839094, ((7, 1), (149, 1)), ((149, 130),)),
@@ -89,7 +89,7 @@ _EXCEPTION_ROWS = (
     ((15823, 482), 7610864, ((13, 1), (37, 1)), ((37, 32),)),
 )
 
-_DB160_PAIRS = [
+DB160_PAIRS = (
     (37, 32),
     (59, 44),
     (67, 58),
@@ -99,7 +99,7 @@ _DB160_PAIRS = [
     (149, 130),
     (157, 62),
     (157, 110),
-]
+)
 
 
 def _check_factorize_4883(ctx: _Ctx) -> Optional[str]:
@@ -150,7 +150,7 @@ def _check_db_40(ctx: _Ctx) -> Optional[str]:
 
 
 def _check_db_160(ctx: _Ctx) -> Optional[str]:
-    return _eq(_pairs_of(ctx.db(160)), _DB160_PAIRS)
+    return _eq(_pairs_of(ctx.db(160)), list(DB160_PAIRS))
 
 
 def _check_delta_37(ctx: _Ctx) -> Optional[str]:
@@ -220,9 +220,9 @@ def _check_ratio_2538(ctx: _Ctx) -> Optional[str]:
 
 def _check_ratio_exception_rows(ctx: _Ctx) -> Optional[str]:
     # the witness prime joins p in the ratio at each candidate index
-    got = [verify_ratio(m) for _pair, m, _f, _w in _EXCEPTION_ROWS]
+    got = [verify_ratio(m) for _pair, m, _f, _w in EXCEPTION_ROWS]
     want = [
-        p * math.prod(q for q, _ in wits) for (p, _l), _m, _f, wits in _EXCEPTION_ROWS
+        p * math.prod(q for q, _ in wits) for (p, _l), _m, _f, wits in EXCEPTION_ROWS
     ]
     return _eq(got, want)
 
@@ -307,7 +307,7 @@ def _check_exceptions_first(ctx: _Ctx) -> Optional[str]:
     got = [
         ((r.pair.p, r.pair.l), r.m, r.factors, r.witnesses) for r in records
     ]
-    return _eq(got, [_EXCEPTION_ROWS[0]])
+    return _eq(got, [EXCEPTION_ROWS[0]])
 
 
 def _check_exceptions_five(ctx: _Ctx) -> Optional[str]:
@@ -315,7 +315,7 @@ def _check_exceptions_five(ctx: _Ctx) -> Optional[str]:
     got = [
         ((r.pair.p, r.pair.l), r.m, r.factors, r.witnesses) for r in records
     ]
-    return _eq(got, list(_EXCEPTION_ROWS))
+    return _eq(got, list(EXCEPTION_ROWS))
 
 
 def _check_cli_a_value_6449(ctx: _Ctx) -> Optional[str]:

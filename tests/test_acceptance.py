@@ -3,8 +3,8 @@
 Each criterion is a single test that computes its facts from scratch (the
 p < 16000 database is shared through a session fixture, with its build time
 counted against the one criterion whose budget covers the sieve). Budgets
-are asserted with generous wall-clock bounds; the compiled backend is far
-inside every one of them, and the pure fallback still fits.
+are asserted with generous wall-clock bounds; the numpy sieve kernel fits
+inside every one of them.
 """
 
 import math
@@ -35,14 +35,7 @@ from bernpairs.pairs import (
     scan_special_order2,
     sieve_prime,
 )
-
-EXPECTED_EXCEPTIONS = [
-    ((6449, 4884), 31490468, ((19, 1), (257, 1)), ((257, 164),)),
-    ((8677, 2658), 23054790, ((2657, 1),), ((2657, 710),)),
-    ((11351, 1044), 11839094, ((7, 1), (149, 1)), ((149, 130),)),
-    ((12527, 2122), 26569768, ((3, 1), (7, 1), (101, 1)), ((101, 68),)),
-    ((15823, 482), 7610864, ((13, 1), (37, 1)), ((37, 32),)),
-]
+from bernpairs.verify import EXCEPTION_ROWS
 
 
 def _record_rows(records):
@@ -93,7 +86,7 @@ def test_criterion_3_first_counterexample():
     assert 4883 * 6449 % 256 == 163
     db = build_database(6500, jobs=1)
     got = _record_rows(find_exceptions(db))
-    assert got == EXPECTED_EXCEPTIONS[:1]
+    assert got == list(EXCEPTION_ROWS[:1])
     elapsed = time.monotonic() - t0
     assert elapsed < 900
     print(
@@ -106,7 +99,7 @@ def test_criterion_3_first_counterexample():
 def test_criterion_4_five_row_table(db16000, db16000_build_seconds):
     t0 = time.monotonic()
     got = _record_rows(find_exceptions(db16000))
-    assert got == EXPECTED_EXCEPTIONS
+    assert got == list(EXCEPTION_ROWS)
     elapsed = time.monotonic() - t0 + db16000_build_seconds
     assert elapsed < 7200
     print(

@@ -17,16 +17,7 @@ from bernpairs.conjecture import (
     verify_ratio,
 )
 from bernpairs.pairs import IrregularPair, OrderedPair
-
-# (pair, candidate index, factorization of l-1, witnesses); all five verified
-# through the exact witness congruence recomputed in test_exception_congruences
-EXPECTED_EXCEPTIONS = [
-    ((6449, 4884), 31490468, ((19, 1), (257, 1)), ((257, 164),)),
-    ((8677, 2658), 23054790, ((2657, 1),), ((2657, 710),)),
-    ((11351, 1044), 11839094, ((7, 1), (149, 1)), ((149, 130),)),
-    ((12527, 2122), 26569768, ((3, 1), (7, 1), (101, 1)), ((101, 68),)),
-    ((15823, 482), 7610864, ((13, 1), (37, 1)), ((37, 32),)),
-]
+from bernpairs.verify import EXCEPTION_ROWS
 
 
 def test_ratio_frozen_values():
@@ -51,7 +42,7 @@ def test_ratio_is_gcd_with_m_minus_1():
         assert verify_ratio(m) == math.gcd(n1, m - 1)
 
 
-@pytest.mark.parametrize("row", EXPECTED_EXCEPTIONS, ids=lambda r: str(r[1]))
+@pytest.mark.parametrize("row", EXCEPTION_ROWS, ids=lambda r: str(r[1]))
 def test_ratio_at_exception_rows(row):
     # at every row the witness prime divides the ratio alongside p, so the
     # ratio at the candidate index is not p itself
@@ -103,7 +94,7 @@ def test_a_value_exception_row(db6500):
 
 def test_exception_congruences():
     # each witness (q, l') must satisfy q | l-1 and (l-1)p ≡ l'-1 (mod q-1)
-    for (p, l), m, factors, witnesses in EXPECTED_EXCEPTIONS:
+    for (p, l), m, factors, witnesses in EXCEPTION_ROWS:
         assert m == (l - 1) * p + 1
         prod = 1
         for q, e in factors:
@@ -122,7 +113,7 @@ def test_find_exceptions_full_range(db16000):
         ((r.pair.p, r.pair.l), r.m, r.factors, r.witnesses)
         for r in find_exceptions(db16000)
     ]
-    assert got == EXPECTED_EXCEPTIONS
+    assert got == list(EXCEPTION_ROWS)
 
 
 def test_find_exceptions_first_only(db6500):

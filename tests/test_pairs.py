@@ -1,5 +1,6 @@
 """Irregular pairs: sieve, database, delta, digit lifting, order-2 scan."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -27,18 +28,7 @@ from bernpairs.pairs import (
     scan_special_order2,
     sieve_prime,
 )
-
-DB160_PAIRS = [
-    (37, 32),
-    (59, 44),
-    (67, 58),
-    (101, 68),
-    (103, 24),
-    (131, 22),
-    (149, 130),
-    (157, 62),
-    (157, 110),
-]
+from bernpairs.verify import DB160_PAIRS
 
 # measured once with this package, then re-derived below from the naive
 # Fraction recurrence for three of them
@@ -93,7 +83,7 @@ def test_sieve_against_exact_rationals():
 
 
 def test_database_content(db160, db6500):
-    assert [(q.p, q.l) for q in db160.all_pairs()] == DB160_PAIRS
+    assert [(q.p, q.l) for q in db160.all_pairs()] == list(DB160_PAIRS)
     assert db160.irregular_primes() == [37, 59, 67, 101, 103, 131, 149, 157]
     assert len(db160) == 9
     assert db160.is_irregular(37)
@@ -132,17 +122,46 @@ def test_database_save_format(db160, tmp_path):
     path = tmp_path / "db.txt"
     db160.save(str(path))
     lines = path.read_text().splitlines()
-    assert lines[0] == "# bernpairs-db v1 max_p=160"
+    body = "".join(line + "\n" for line in lines[1:]).encode("ascii")
+    assert lines[0] == (
+        f"# bernpairs-db v2 max_p=160 rows=9 sha256={hashlib.sha256(body).hexdigest()}"
+    )
     assert lines[1] == "37,32,"  # delta field present but empty
     assert len(lines) == 10
     reloaded = load_database(str(path))
     assert reloaded == db160
+    again = tmp_path / "again.txt"
+    reloaded.save(str(again))
+    assert again.read_bytes() == path.read_bytes()
 
     db = build_database(40)
     db.set_delta(IrregularPair(37, 32), 21)
     db.save(str(path))
     assert path.read_text().splitlines()[1] == "37,32,21"
     assert load_database(str(path)).delta_for(IrregularPair(37, 32)) == 21
+
+
+def test_database_v2_detects_lost_rows(db160, tmp_path):
+    path = tmp_path / "db.txt"
+    db160.save(str(path))
+    lines = path.read_text().splitlines()
+    # cut after the last row: the final pair is gone, every other line is intact
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(FormatError, match="rows") as exc:
+        load_database(str(path))
+    assert exc.value.line == 1
+    # same row count, one row edited: only the digest catches it
+    path.write_text("\n".join(lines[:-1] + ["157,110,5"]) + "\n")
+    with pytest.raises(FormatError, match="sha256"):
+        load_database(str(path))
+
+
+def test_database_v1_still_loads(db160, tmp_path):
+    path = tmp_path / "db.txt"
+    db160.save(str(path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["# bernpairs-db v1 max_p=160"] + lines[1:]) + "\n")
+    assert load_database(str(path)) == db160
 
 
 def _load_text(tmp_path, text):
@@ -170,6 +189,11 @@ def test_database_format_errors(tmp_path):
         _load_text(tmp_path, "# bernpairs-db v1 max_p=160\n37,32,x\n")
     with pytest.raises(FormatError):
         _load_text(tmp_path, "")
+    # v2 needs both fields and v1 takes neither
+    with pytest.raises(FormatError):
+        _load_text(tmp_path, "# bernpairs-db v2 max_p=160\n37,32,\n")
+    with pytest.raises(FormatError):
+        _load_text(tmp_path, f"# bernpairs-db v1 max_p=160 rows=1 sha256={'0' * 64}\n")
 
 
 def test_delta_queries(db160):
