@@ -143,7 +143,7 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
 
 def _cmd_mn(args: argparse.Namespace) -> int:
     db = load_database(args.db) if args.db else None
-    res = minimal_composite(args.n, args.u0, db, cap=args.cap, jobs=args.jobs)
+    res = minimal_composite(args.n, args.u0, db, jobs=args.jobs)
     c_str = "*".join(str(q.p) for q in res.pairs)
     print(f"M_{res.n}={res.value} c={c_str} S={_set_str(res.pairs)}")
     log_rows = [
@@ -228,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_positive, required=True)
     sp.add_argument("--u0", type=_positive, default=None, help="starting upper bound")
     sp.add_argument("--db", default=None, help="seed database file (default: built)")
-    sp.add_argument("--cap", type=_positive, default=None, help="on-demand sieve limit")
     sp.add_argument("--log", action="store_true", help="print the improving-candidates table")
     sp.add_argument("--csv", help="write the candidates table to this CSV file")
 

@@ -11,25 +11,29 @@ solvable iff S is "strong friendly": pairwise l_i ≡ l_j (mod gcd(p_i-1, p_j-1)
 (friendly), and whenever p_i ≡ 1 (mod p_j) also l_i ≡ 1 (mod p_j). The least
 solution in [1, lcm_i p_i(p_i-1)] is the joint index of S.
 
-lambda_* minimize the joint index over all pair choices for fixed primes;
-minimal_composite searches over n-subsets of irregular primes with product
-below a shrinking bound U (any tuple continuing past a prime q keeps the full
-product above q^remaining * prefix, so level primes stay below
-(U/prefix)^(1/remaining)), sieving new primes on demand.
+lambda_* minimize the joint index over all pair choices for fixed primes.
+
+minimal_composite enumerates the n-1 smallest pairs of each set in ascending
+order under a shrinking bound U (level primes stay below
+(U/prefix)^(1/remaining)) and walks each prefix's progression
+m ≡ joint_index(prefix) (mod lcm p_i(p_i - 1)) for m < U. A prime q dividing
+the ratio at m divides m - 1 and is irregular at m mod (q - 1) (Kummer), so
+the largest prime is read off (m-1)/prod p_i and tested by one residue, never
+sieved. Complete, since prod p_i <= m - 1 < U; for n = 2 only primes below
+U^(1/2) are sieved.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import arith
 from .arith import factorize, integer_nth_root
-from .config import LIMITS
-from .errors import DatabaseTooSmall, NotIrregular, NotStrongFriendly
+from .bernoulli import divided_bernoulli_mod_pk
+from .errors import NotIrregular, NotStrongFriendly
 from .pairs import IrregularPair, PairDatabase, _sieve_many
 
 
@@ -219,72 +223,22 @@ class MnResult:
     c: int
     pairs: Tuple[IrregularPair, ...]
     log: List[SearchLogEntry] = field(default_factory=list)
-    sieved_to: int = 0
-    sets_checked: int = 0
-
-
-class _GrowingTable:
-    """Pair lookup that sieves primes on demand, up to a hard cap."""
-
-    def __init__(self, db: PairDatabase, cap: int, jobs: Optional[int]):
-        self.covered = db.max_p
-        self.cap = cap
-        self.jobs = jobs
-        self._pairs: Dict[int, List[int]] = {
-            p: [q.l for q in db.pairs_for(p)] for p in db.irregular_primes()
-        }
-        self._primes: List[int] = [p for p in arith.primes_below(db.max_p) if p >= 5]
-
-    def _extend(self, bound: int) -> None:
-        """Sieve primes in [covered, bound); bound must not exceed the cap."""
-        fresh = [p for p in arith.primes_below(bound) if p >= max(5, self.covered)]
-        for p, zeros in _sieve_many(fresh, self.jobs).items():
-            if zeros:
-                self._pairs[p] = zeros
-        self._primes = [p for p in arith.primes_below(bound) if p >= 5]
-        self.covered = bound
-
-    def next_irregular(self, after: int, bound: Union[int, float]) -> Optional[int]:
-        """Smallest irregular prime q with after < q <= bound, sieving as needed."""
-        cursor = after
-        while True:
-            idx = bisect.bisect_right(self._primes, cursor)
-            while idx < len(self._primes):
-                q = self._primes[idx]
-                if q > bound:
-                    return None
-                if q in self._pairs:
-                    return q
-                cursor = q
-                idx += 1
-            # every known prime is exhausted; primes below `covered` are known
-            if self.covered > bound:
-                return None
-            if self.covered >= self.cap:
-                needed = self.cap + 1 if bound == math.inf else int(bound) + 1
-                raise DatabaseTooSmall(needed=needed, have=self.cap)
-            step = max(self.covered * 3 // 2, self.covered + 256)
-            self._extend(int(min(bound + 1, step, self.cap)))
-
-    def pairs_at(self, p: int) -> List[IrregularPair]:
-        return [IrregularPair(p, l) for l in self._pairs[p]]
+    sieved_to: int = 0  # every prime below this was sieved
+    sets_checked: int = 0  # (n-1)-prefix progressions walked
 
 
 def minimal_composite(
     n: int,
     u0: Union[int, float, None] = None,
     db: Optional[PairDatabase] = None,
-    cap: Optional[int] = None,
     jobs: Optional[int] = None,
 ) -> MnResult:
     """Least joint index over strong friendly sets of n distinct-prime pairs.
 
-    Exhaustive over candidate prime n-sets: ascending enumeration under the
-    product bound, shrinking the bound whenever a better candidate appears and
-    sieving primes on demand (up to cap, default LIMITS.sieve_cap). u0 seeds
-    the bound and must itself be a known upper bound; None or inf means
-    unbounded, and the first strong friendly set found seeds the bound.
-    Results are deterministic for fixed inputs regardless of jobs.
+    Walks each (n-1)-prefix's progression below the bound U (module
+    docstring), sieving prefix primes past db.max_p on demand. u0 seeds U and
+    must itself be a known upper bound; None or inf means unbounded, and the
+    first hit seeds U. Results are deterministic regardless of jobs.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -294,52 +248,73 @@ def minimal_composite(
         u0 = None
     if db is None:
         db = _default_seed_db(jobs)
-    table = _GrowingTable(db, cap or LIMITS.sieve_cap, jobs)
+    zeros = {p: [q.l for q in db.pairs_for(p)] for p in db.irregular_primes()}
+    primes = sorted(zeros)  # irregular primes below `covered`, ascending
+    covered = db.max_p
     best: Union[int, float] = math.inf if u0 is None else int(u0)
     best_set: Optional[Tuple[IrregularPair, ...]] = None
     log: List[SearchLogEntry] = []
-    checked = 0
+    walked = 0
 
-    def recurse(prefix: Tuple[IrregularPair, ...], prod: int) -> None:
-        nonlocal best, best_set, checked
+    def extend(bound: int) -> None:
+        """Sieve the primes in [covered, bound)."""
+        nonlocal covered
+        fresh = [p for p in arith.primes_below(bound) if p >= max(5, covered)]
+        for p, ls in sorted(_sieve_many(fresh, jobs).items()):
+            if ls:
+                zeros[p] = ls
+                primes.append(p)
+        covered = bound
+
+    def recurse(prefix: Tuple[IrregularPair, ...], prod: int, i: int) -> None:
+        nonlocal best, best_set, walked
         remaining = n - len(prefix)
-        if remaining == 0:
-            checked += 1
+        if remaining == 1:  # the first hit in the progression is its minimum
+            walked += 1
+            step = math.lcm(*(q.p * (q.p - 1) for q in prefix))
             m = joint_index(prefix)
-            if m < best:
-                best = m
-                best_set = prefix
-                log.append(SearchLogEntry(prefix, m, m, integer_nth_root(m, n)))
+            while m < best:
+                for q, _e in factorize((m - 1) // prod):
+                    k = m % (q - 1)
+                    if q > prefix[-1].p and k and divided_bernoulli_mod_pk(k, q, 1).is_zero():
+                        best = m
+                        best_set = prefix + (IrregularPair(q, k),)
+                        log.append(SearchLogEntry(best_set, m, m, integer_nth_root(m, n)))
+                        return
+                m += step
             return
-        cursor = prefix[-1].p if prefix else 4
         while True:
             if best == math.inf:
                 limit: Union[int, float] = math.inf
             else:
                 limit = integer_nth_root((int(best) - 1) // prod, remaining)
-                if cursor >= limit:
+            if i == len(primes):
+                if covered > limit:
                     return
-            q = table.next_irregular(cursor, limit)
-            if q is None:
+                # the gap to the root at once; unbounded, step by step until
+                # a walk sets U
+                extend(covered + 1 if limit == math.inf else int(limit) + 1)
+                continue
+            q = primes[i]
+            if q > limit:
                 return
-            cursor = q
-            for qpair in table.pairs_at(q):
-                if all(_compatible(qpair, held) for held in prefix):
-                    recurse(prefix + (qpair,), prod * q)
+            i += 1
+            for l in zeros[q]:
+                pair = IrregularPair(q, l)
+                if all(_compatible(pair, held) for held in prefix):
+                    recurse(prefix + (pair,), prod * q, i)
 
-    recurse((), 1)
-    if best_set is None:
-        if u0 is not None:
-            raise ValueError(f"no strong friendly {n}-set has joint index below {u0}")
-        raise DatabaseTooSmall(needed=table.cap + 1, have=table.covered)
+    recurse((), 1, 0)
+    if best_set is None:  # only reachable with a finite u0
+        raise ValueError(f"no strong friendly {n}-set has joint index below {u0}")
     return MnResult(
         n=n,
         value=int(best),
         c=math.prod(q.p for q in best_set),
         pairs=best_set,
         log=log,
-        sieved_to=table.covered,
-        sets_checked=checked,
+        sieved_to=covered,
+        sets_checked=walked,
     )
 
 

@@ -14,8 +14,6 @@ class Limits:
     max_exact_n: int = 20000
     # Digit lifting: nothing beyond this many digits.
     lift_max_order: int = 3
-    # minimal_composite may sieve primes on demand up to this cap.
-    sieve_cap: int = 20000
 
 
 LIMITS = Limits()

@@ -2,9 +2,9 @@
 
 Every check recomputes one published quantity (sequence entries, table rows,
 lifting digits, minimality results) and compares exactly; there are no
-tolerances anywhere. Quick checks run in seconds; the full tier adds the
-database builds to p = 16000, the order-2 scans, and the composite-minimum
-search, a few minutes on the numpy sieve.
+tolerances anywhere. Quick checks run in seconds, the M_2 search included;
+the full tier adds the database builds to p = 16000 and the order-2 scans, a
+few minutes on the numpy sieve.
 """
 
 from __future__ import annotations
@@ -100,6 +100,16 @@ DB160_PAIRS = (
     (157, 62),
     (157, 110),
 )
+
+# the M_2 search on the p < 160 database below u0: its minimum, and each
+# improving log row as (value, which is also the new bound; root; pair set)
+MN2_SEARCH = {
+    "u0": 7610864,
+    "value": 107430,
+    "c": 103 * 149,
+    "pairs": ((103, 24), (149, 130)),
+    "log": ((272876, 522, ((37, 32), (59, 44))), (107430, 327, ((103, 24), (149, 130)))),
+}
 
 
 def _check_factorize_4883(ctx: _Ctx) -> Optional[str]:
@@ -342,27 +352,38 @@ def _check_scan_700_min_diff(ctx: _Ctx) -> Optional[str]:
     return _eq(report.min_abs_diff, 4)
 
 
+def _pair_tuple(pairs: Tuple[IrregularPair, ...]) -> Tuple[Tuple[int, int], ...]:
+    return tuple((q.p, q.l) for q in pairs)
+
+
+def _mn2_search(ctx: _Ctx, u0: Optional[int]) -> Optional[str]:
+    res = minimal_composite(2, u0, ctx.db(160), jobs=ctx.jobs)
+    log = tuple((e.value, e.root_after, _pair_tuple(e.pairs)) for e in res.log)
+    got = (res.value, res.c, _pair_tuple(res.pairs), log)
+    return _eq(got, tuple(MN2_SEARCH[k] for k in ("value", "c", "pairs", "log")))
+
+
 def _check_mn_2_seeded(ctx: _Ctx) -> Optional[str]:
-    res = minimal_composite(2, 7610864, ctx.db(160), jobs=ctx.jobs)
-    got = (res.value, res.c, tuple((q.p, q.l) for q in res.pairs))
-    want = (107430, 103 * 149, ((103, 24), (149, 130)))
-    if got != want:
-        return f"expected {want!r}, got {got!r}"
-    if 272876 not in [entry.value for entry in res.log]:
-        return f"272876 missing from the search log: {[e.value for e in res.log]}"
-    return None
+    return _mn2_search(ctx, MN2_SEARCH["u0"])
 
 
 def _check_mn_2_unbounded(ctx: _Ctx) -> Optional[str]:
-    res = minimal_composite(2, None, ctx.db(160), jobs=ctx.jobs)
-    return _eq((res.value, res.c), (107430, 103 * 149))
+    return _mn2_search(ctx, None)
+
+
+def _set_str(pairs: Tuple[Tuple[int, int], ...]) -> str:
+    return "{" + ",".join(f"({p},{l})" for p, l in pairs) + "}"
 
 
 def _check_cli_mn(ctx: _Ctx) -> Optional[str]:
-    code, out = _run_cli(["mn", "--n", "2", "--u0", "7610864", "--jobs", "1"])
+    u0 = str(MN2_SEARCH["u0"])
+    code, out = _run_cli(["mn", "--n", "2", "--u0", u0, "--log", "--jobs", "1"])
     if code != 0:
         return f"mn exited {code}"
-    return _eq(out, "M_2=107430 c=103*149 S={(103,24),(149,130)}\n")
+    c = "*".join(str(p) for p, _l in MN2_SEARCH["pairs"])
+    want = [f"M_2={MN2_SEARCH['value']} c={c} S={_set_str(MN2_SEARCH['pairs'])}", "n S U u"]
+    want += [f"2 {_set_str(ps)} {v} {root}" for v, root, ps in MN2_SEARCH["log"]]
+    return _eq(out.splitlines(), want)
 
 
 @dataclass(frozen=True)
@@ -412,15 +433,15 @@ CHECKS: Tuple[Check, ...] = (
     Check("lambda/131x263", True, _check_lambda_131x263),
     Check("cli/pairs-157", True, _check_cli_pairs_157),
     Check("joint-index/157-401-1217", True, _check_mn3_candidates),
-    # slow tier: large database builds, full scans, the minimum search
+    Check("minimum/2-seeded", True, _check_mn_2_seeded),
+    Check("minimum/2-unbounded", True, _check_mn_2_unbounded),
+    Check("cli/mn-2", True, _check_cli_mn),
+    # slow tier: large database builds and full scans
     Check("exceptions/five-rows", False, _check_exceptions_five),
     Check("exceptions/first", False, _check_exceptions_first),
     Check("cli/a-value-6449", False, _check_cli_a_value_6449),
     Check("scan/1000-no-special", False, _check_scan_1000),
     Check("scan/700-min-diff", False, _check_scan_700_min_diff),
-    Check("minimum/2-seeded", False, _check_mn_2_seeded),
-    Check("minimum/2-unbounded", False, _check_mn_2_unbounded),
-    Check("cli/mn-2", False, _check_cli_mn),
 )
 
 

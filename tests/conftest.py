@@ -12,6 +12,7 @@ import pytest
 
 from bernpairs.composite import minimal_composite
 from bernpairs.pairs import build_database
+from bernpairs.verify import MN2_SEARCH
 
 _timings = {}
 
@@ -56,4 +57,4 @@ def db160(db6500):
 
 @pytest.fixture(scope="session")
 def mn2_result(db160):
-    return minimal_composite(2, 7610864, db160, jobs=1)
+    return minimal_composite(2, MN2_SEARCH["u0"], db160, jobs=1)

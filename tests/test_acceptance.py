@@ -35,7 +35,7 @@ from bernpairs.pairs import (
     scan_special_order2,
     sieve_prime,
 )
-from bernpairs.verify import EXCEPTION_ROWS
+from bernpairs.verify import EXCEPTION_ROWS, MN2_SEARCH
 
 
 def _record_rows(records):
@@ -110,12 +110,13 @@ def test_criterion_4_five_row_table(db16000, db16000_build_seconds):
 
 def test_criterion_5_composite_minimum():
     t0 = time.monotonic()
-    res = minimal_composite(2, 7610864, build_database(160, jobs=1), jobs=1)
-    assert res.value == 107430
-    assert res.c == 103 * 149
-    assert set((q.p, q.l) for q in res.pairs) == {(103, 24), (149, 130)}
+    res = minimal_composite(2, MN2_SEARCH["u0"], build_database(160, jobs=1), jobs=1)
+    assert res.value == MN2_SEARCH["value"]
+    assert res.c == MN2_SEARCH["c"]
+    assert set((q.p, q.l) for q in res.pairs) == set(MN2_SEARCH["pairs"])
     logged = {e.value: set((q.p, q.l) for q in e.pairs) for e in res.log}
-    assert logged[272876] == {(37, 32), (59, 44)}
+    first_value, _root, first_pairs = MN2_SEARCH["log"][0]
+    assert logged[first_value] == set(first_pairs)
     elapsed = time.monotonic() - t0
     assert elapsed < 1800
     print(

@@ -4,6 +4,7 @@ import pytest
 
 from bernpairs import cli
 from bernpairs.pairs import build_database, load_database
+from bernpairs.verify import MN2_SEARCH
 
 
 @pytest.fixture(scope="session")
@@ -115,13 +116,17 @@ def test_lambda_regular_prime_fails(db160_file, capsys):
     assert err.startswith("NotIrregular:")
 
 
+def _set_str(pairs):
+    return "{" + ",".join(f"({p},{l})" for p, l in pairs) + "}"
+
+
 def test_mn_pinned_line(db160_file, tmp_path, capsys):
     csv_path = tmp_path / "mn.csv"
     code = cli.main(
         [
             "mn",
             "--n", "2",
-            "--u0", "7610864",
+            "--u0", str(MN2_SEARCH["u0"]),
             "--db", db160_file,
             "--log",
             "--csv", str(csv_path),
@@ -129,14 +134,14 @@ def test_mn_pinned_line(db160_file, tmp_path, capsys):
     )
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "M_2=107430 c=103*149 S={(103,24),(149,130)}"
+    c = "*".join(str(p) for p, _l in MN2_SEARCH["pairs"])
+    assert lines[0] == f"M_2={MN2_SEARCH['value']} c={c} S={_set_str(MN2_SEARCH['pairs'])}"
     assert lines[1] == "n S U u"
-    assert lines[2] == "2 {(37,32),(59,44)} 272876 522"
-    assert lines[3] == "2 {(103,24),(149,130)} 107430 327"
-    assert csv_path.read_text().splitlines() == [
-        "n,S,U,u",
-        '2,"{(37,32),(59,44)}",272876,522',
-        '2,"{(103,24),(149,130)}",107430,327',
+    log = MN2_SEARCH["log"]
+    assert lines[2] == f"2 {_set_str(log[0][2])} {log[0][0]} {log[0][1]}"
+    assert lines[3] == f"2 {_set_str(log[1][2])} {log[1][0]} {log[1][1]}"
+    assert csv_path.read_text().splitlines() == ["n,S,U,u"] + [
+        f'2,"{_set_str(ps)}",{v},{root}' for v, root, ps in log
     ]
 
 

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from bernpairs.arith import mod_inverse
+from bernpairs.arith import factorize, mod_inverse
 from bernpairs.bernoulli import divided_bernoulli_mod_pk
 from bernpairs.composite import (
     CrtSolution,
@@ -21,8 +21,9 @@ from bernpairs.composite import (
     lambda_prime_power,
     minimal_composite,
 )
-from bernpairs.errors import DatabaseTooSmall, NotIrregular, NotStrongFriendly
+from bernpairs.errors import NotIrregular, NotStrongFriendly
 from bernpairs.pairs import IrregularPair, PairDatabase
+from bernpairs.verify import MN2_SEARCH
 
 
 def P(p, l):
@@ -252,19 +253,27 @@ def test_m_s_range_property(db160):
 # -------------------------------------------------------- minimal_composite
 
 
+def _pair_set(pairs):
+    return set((q.p, q.l) for q in pairs)
+
+
 def test_minimal_composite_seeded(mn2_result):
     r = mn2_result
     assert isinstance(r, MnResult)
     assert r.n == 2
-    assert r.value == 107430
-    assert r.c == 15347 == 103 * 149
-    assert set((q.p, q.l) for q in r.pairs) == {(103, 24), (149, 130)}
-    assert [e.value for e in r.log] == [272876, 107430]
-    assert set((q.p, q.l) for q in r.log[0].pairs) == {(37, 32), (59, 44)}
-    assert r.log[0].root_after == 522
-    assert r.log[1].root_after == 327
-    assert r.sieved_to == 7376
-    assert r.sets_checked == 1072
+    assert r.value == MN2_SEARCH["value"]
+    assert r.c == MN2_SEARCH["c"] == math.prod(p for p, _l in MN2_SEARCH["pairs"])
+    assert _pair_set(r.pairs) == set(MN2_SEARCH["pairs"])
+    assert [e.value for e in r.log] == [v for v, _root, _ps in MN2_SEARCH["log"]]
+    assert [e.bound_after for e in r.log] == [e.value for e in r.log]
+    assert _pair_set(r.log[0].pairs) == set(MN2_SEARCH["log"][0][2])
+    assert r.log[0].root_after == MN2_SEARCH["log"][0][1]
+    assert r.log[1].root_after == MN2_SEARCH["log"][1][1]
+    # prefix primes are sieved only to the final root + 1; the largest prime
+    # is never sieved
+    assert r.sieved_to == 328
+    # one progression per prefix pair with p <= 327: 9 below 160, 8 above
+    assert r.sets_checked == 17
 
 
 def test_minimal_composite_unbounded_agrees(mn2_result, db160):
@@ -288,7 +297,7 @@ def test_minimal_composite_shuffled_input(mn2_result, db160):
     }
     shuffled = PairDatabase(160, entries)
     assert shuffled == db160
-    r = minimal_composite(2, 7610864, shuffled, jobs=1)
+    r = minimal_composite(2, MN2_SEARCH["u0"], shuffled, jobs=1)
     assert (r.value, r.c, r.pairs, r.sieved_to, r.sets_checked) == (
         mn2_result.value,
         mn2_result.c,
@@ -298,9 +307,33 @@ def test_minimal_composite_shuffled_input(mn2_result, db160):
     )
 
 
-def test_minimal_composite_cap(db160):
-    with pytest.raises(DatabaseTooSmall):
-        minimal_composite(2, 7610864, db160, cap=200, jobs=1)
+def test_minimal_composite_extends_one_prime_at_a_time():
+    # no seed pairs and no bound: primes are sieved singly up to 37, whose
+    # walk sets U, and the gap below U^(1/2) is then sieved at once
+    r = minimal_composite(2, None, PairDatabase(10), jobs=1)
+    assert (r.value, _pair_set(r.pairs)) == (
+        MN2_SEARCH["value"],
+        set(MN2_SEARCH["pairs"]),
+    )
+    assert [e.value for e in r.log] == [v for v, _root, _ps in MN2_SEARCH["log"]]
+
+
+def test_minimal_composite_agrees_with_index_scan(db6500, db160):
+    # independent route: scan every even m and count the primes q | m-1 whose
+    # pair (q, m mod (q-1)) a sieve row produced (Kummer). A 2-set below
+    # 107431 has q_1 >= 37, so q_2 < 107431/37 < 6500 and db6500 covers both.
+    bound = 107431
+    assert bound // 37 < db6500.max_p
+    pairs = set((q.p, q.l) for q in db6500.all_pairs())
+    first = None
+    for m in range(2, bound, 2):
+        hits = [q for q, _e in factorize(m - 1) if (q, m % (q - 1)) in pairs]
+        if len(hits) >= 2:
+            first = (m, hits)
+            break
+    assert first == (107430, [103, 149])
+    r = minimal_composite(2, None, db160, jobs=1)
+    assert (r.value, sorted(q.p for q in r.pairs)) == first
 
 
 def test_minimal_composite_bound_too_tight(db160):
