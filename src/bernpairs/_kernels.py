@@ -16,13 +16,14 @@ def bern_even_residues(p: int) -> List[int]:
     range; entries outside that range are filler (B_1 never appears here, it
     is folded into the recurrence as a closed term).
 
-    Method: the defining recurrence sum_{k=0}^{n-1} C(n+1,k) B_k = 0, walking a
-    Pascal row in place (two row advances per even n) and taking one dot
-    product per n. Row entries are left unreduced for up to `grow` rows so the
-    mod pass runs rarely; `grow` is sized so the int64 dot product cannot
-    overflow: entries < 2^grow * p and the dot has at most p terms of size
-    entry * p, so 2^grow * p^3 must stay under 2^63. With grow clamped to 1
-    that needs p^3 < 2^62, enforced here before allocating.
+    Method: b_n = B_n/n! satisfies (e^x - 1)/x * sum b_n x^n = 1, so for n = 2t
+
+        b_2t = -( sum_{i<t} b_2i/(2t-2i+1)! - 1/(2 (2t)!) )  (mod p)
+
+    and B_2t = (2t)! b_2t. Each t costs one int64 dot product of b_0..b_2(t-1)
+    against the odd inverse factorials; every entry is reduced below p, so
+    the sum is below t p^2 < p^3/2. That needs p^3 < 2^62, enforced here
+    before allocating.
     """
     if p < 5 or p % 2 == 0:
         raise ValueError(f"need an odd prime >= 5, got {p}")
@@ -32,33 +33,22 @@ def bern_even_residues(p: int) -> List[int]:
             needed=p**3,
             limit=1 << 62,
         )
-    inv = np.zeros(p, dtype=np.int64)
-    inv[1] = 1
-    for i in range(2, p):
-        inv[i] = (p - p // i) * inv[p % i] % p
-    inv2 = int(inv[2])
+    fact = [1] * p
+    for j in range(1, p):
+        fact[j] = fact[j - 1] * j % p
+    inv_fact = [1] * p
+    inv_fact[p - 1] = pow(fact[p - 1], -1, p)
+    for j in range(p - 1, 1, -1):
+        inv_fact[j - 1] = inv_fact[j] * j % p
+    odd = np.array(inv_fact[1::2], dtype=np.int64)  # odd[i] = 1/(2i+1)!
+    half = (p + 1) // 2
 
-    B = np.zeros(p, dtype=np.int64)
+    b = np.zeros(len(odd), dtype=np.int64)  # b[t] = b_2t
+    b[0] = 1
+    B = [0] * p
     B[0] = 1
-    C = np.zeros(p + 2, dtype=np.int64)
-    C[0] = 1
-    C[1] = 1  # row m = 1
-    grow = max(1, 62 - int(p**3).bit_length())
-    unreduced = 0
-
-    for n in range(2, p - 2, 2):
-        m = n + 1
-        for r in (m - 1, m):
-            # In-place Pascal step: new C[k] = old C[k] + old C[k-1]. numpy
-            # buffers the overlapping operands, so old values are used.
-            C[1:r] += C[0 : r - 1]
-            C[r] = 1
-        unreduced += 2
-        if unreduced + 2 > grow:
-            C[: m + 1] %= p
-            unreduced = 0
-        acc = int(np.dot(C[:n], B[:n])) % p
-        acc = (acc + m * (p - inv2)) % p
-        B[n] = (p - acc * int(inv[m]) % p) % p
-    return B.tolist()
-
+    for t in range(1, len(odd)):
+        s = int(np.dot(b[:t], odd[t:0:-1])) - half * inv_fact[2 * t]
+        b[t] = -s % p
+        B[2 * t] = int(b[t]) * fact[2 * t] % p
+    return B

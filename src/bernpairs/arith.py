@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from .errors import MixedModulus, NotInvertible
 
@@ -126,18 +126,6 @@ def phi_prime_power(p: int, j: int) -> int:
     return p ** (j - 1) * (p - 1)
 
 
-def ilog(base: int, x: int) -> int:
-    """floor(log_base(x)) for x >= 1, base >= 2."""
-    if x < 1 or base < 2:
-        raise ValueError("ilog needs x >= 1 and base >= 2")
-    e = 0
-    v = base
-    while v <= x:
-        v *= base
-        e += 1
-    return e
-
-
 @dataclass(frozen=True)
 class Residue:
     """An integer mod a fixed modulus, normalized into [0, modulus).
@@ -216,10 +204,3 @@ def crt_pair(a1: int, m1: int, a2: int, m2: int) -> Tuple[int, int] | None:
     t = ((a2 - a1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g)
     return (a1 + m1 * t) % l, l
 
-
-def divisors(n: int) -> Iterator[int]:
-    """All positive divisors of n >= 1, ascending."""
-    ds = [1]
-    for p, e in factorize(n):
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return iter(sorted(ds))

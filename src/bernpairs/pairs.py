@@ -111,8 +111,7 @@ def sieve_prime(p: int) -> List[IrregularPair]:
     """All irregular pairs for one prime p >= 5, by the mod-p kernel sieve."""
     if p < 5 or not is_prime(p):
         raise ValueError(f"p must be a prime >= 5, got {p}")
-    row = _kernels.bern_even_residues(p)
-    return [IrregularPair(p, k) for k in range(2, p - 2, 2) if row[k] == 0]
+    return [IrregularPair(p, k) for k in _sieve_worker(p)[1]]
 
 
 def _sieve_worker(p: int) -> Tuple[int, List[int]]:
@@ -290,9 +289,19 @@ def load_database(path: str) -> PairDatabase:
 
 def _pool_map(fn: Callable, work: Sequence, jobs: Optional[int], chunksize: int) -> List:
     """fn over work, inline when jobs <= 1 or work is short, else in a pool of
-    jobs processes (None: all cores) that returns results in completion order."""
+    jobs processes (None: all cores) that returns results in completion order.
+
+    Fewer than 16 items run inline: starting a pool costs tens of milliseconds
+    and grows the parent's resident set, more than such a batch saves. On 2
+    vCPUs the order-2 scan of the 9 pairs below 200 took 0.007-0.016 s inline
+    against 0.066-0.10 s pooled. Larger batches keep the pool: the 81 pairs
+    below 1000 scan in 0.29-0.32 s pooled against 0.39 s inline, and
+    build_database(2000) takes 0.43-0.47 s against 0.60-0.67 s. Sieve
+    batches of 27 and 35 primes are faster inline too, but running them in
+    the parent grew its resident set by about 0.07 MB more.
+    """
     jobs = os.cpu_count() or 1 if jobs is None else jobs
-    if jobs <= 1 or len(work) < 4:
+    if jobs <= 1 or len(work) < 16:
         return [fn(w) for w in work]
     with multiprocessing.Pool(processes=jobs) as pool:
         return list(pool.imap_unordered(fn, work, chunksize=chunksize))

@@ -1,5 +1,6 @@
 """The mod-p sieve kernel against independent routes to B_k mod p."""
 
+import random
 import time
 
 import pytest
@@ -26,6 +27,11 @@ def test_sieve_matches_faulhaber_route():
         row = _kernels.bern_even_residues(p)
         for k in range(2, p - 2, 2):
             assert row[k] == k * divided_bernoulli_mod_pk(k, p, 1).value % p, (p, k)
+    # the largest prime below the paper's bound 16000, on a seeded sample of k
+    p = 15991
+    row = _kernels.bern_even_residues(p)
+    for k in random.Random(15991).sample(range(2, p - 2, 2), 64):
+        assert row[k] == k * divided_bernoulli_mod_pk(k, p, 1).value % p, (p, k)
 
 
 def test_pure_sieve_validation():

@@ -349,3 +349,15 @@ def test_scan_order2(db400):
     assert report.checked == len(db400)
     assert report.min_abs_diff == 4
     assert [(op.p, op.digits) for op in report.min_pairs] == [(353, (186, 190))]
+
+
+def test_scan_small_batch_runs_inline(db200, monkeypatch):
+    # fewer than 16 pairs: jobs=2 must not start a pool, and must agree with jobs=1
+    assert len(db200) < 16
+    expected = scan_special_order2(db200, jobs=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a batch of fewer than 16 items started a pool")
+
+    monkeypatch.setattr("bernpairs.pairs.multiprocessing.Pool", no_pool)
+    assert scan_special_order2(db200, jobs=2) == expected
