@@ -165,7 +165,7 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    failures = run_suite(suite=args.suite, quick=args.quick, jobs=args.jobs)
+    failures = run_suite(quick=args.quick, jobs=args.jobs)
     return 1 if failures else 0
 
 
@@ -235,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=_positive, required=True)
 
     sp = add("verify", _cmd_verify, "recompute the bundled reference values", jobs=True)
-    sp.add_argument("--suite", default="paper-tables", choices=["paper-tables"])
     sp.add_argument("--quick", action="store_true", help="skip the slow database builds")
 
     return parser

@@ -149,16 +149,17 @@ class PairDatabase:
         self.max_p = max_p
         self._entries: Dict[int, List[Tuple[int, Optional[int]]]] = {}
         for p in sorted(entries or {}):
+            if p >= max_p:
+                raise ValueError(f"entry prime {p} not below max_p={max_p}")
             rows = sorted(entries[p])
             for l, d in rows:
                 IrregularPair(p, l)  # validates p and l
-                if p >= max_p:
-                    raise ValueError(f"entry prime {p} not below max_p={max_p}")
                 if d is not None and not 0 <= d < p:
                     raise ValueError(f"stored delta {d} out of range for p={p}")
             if len({l for l, _ in rows}) != len(rows):
                 raise ValueError(f"duplicate pair index for p={p}")
-            self._entries[p] = list(rows)
+            if rows:  # a prime without pairs is regular, so it gets no key
+                self._entries[p] = rows
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairDatabase):

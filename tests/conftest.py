@@ -12,7 +12,7 @@ import pytest
 
 from bernpairs.composite import minimal_composite
 from bernpairs.pairs import build_database
-from bernpairs.verify import MN2_SEARCH
+from bernpairs.verify import MN2_SEARCH, _Ctx
 
 _timings = {}
 
@@ -32,7 +32,15 @@ def db16000_build_seconds(db16000):
 
 @pytest.fixture(scope="session")
 def db6500():
-    return build_database(6500, jobs=1)
+    t0 = time.monotonic()
+    db = build_database(6500, jobs=1)
+    _timings["db6500"] = time.monotonic() - t0
+    return db
+
+
+@pytest.fixture(scope="session")
+def db6500_build_seconds(db6500):
+    return _timings["db6500"]
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +61,18 @@ def db200(db6500):
 @pytest.fixture(scope="session")
 def db160(db6500):
     return db6500.restrict(160)
+
+
+@pytest.fixture(scope="session")
+def verify_ctx(db6500):
+    """The context `verify` rows run in, over the shared p < 6500 build."""
+    return _Ctx(jobs=1, dbs=[db6500])
+
+
+@pytest.fixture(scope="session")
+def verify_ctx16000(db16000):
+    """The same for the rows that need p < 16000 (mark them `extended`)."""
+    return _Ctx(jobs=1, dbs=[db16000])
 
 
 @pytest.fixture(scope="session")

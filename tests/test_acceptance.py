@@ -1,10 +1,11 @@
 """Acceptance gate: eight criteria, one pass/fail line each.
 
-Each criterion is a single test that computes its facts from scratch (the
-p < 16000 database is shared through a session fixture, with its build time
-counted against the one criterion whose budget covers the sieve). Budgets
-are asserted with generous wall-clock bounds; the numpy sieve kernel fits
-inside every one of them.
+Each criterion is a single test. Criteria 1 and 3-7 run their rows of the
+`verify` reference table by id through run_check, over the session's shared
+p < 6500 and p < 16000 builds; each build's time counts against the
+criterion whose budget covers that sieve (3 and 4). Criteria 2 and 8 compute
+their own facts. Budgets are asserted with generous wall-clock bounds; the
+numpy sieve kernel fits inside every one of them.
 """
 
 import math
@@ -25,36 +26,22 @@ from bernpairs.composite import (
     joint_index,
     lambda_composite,
     lambda_prime,
-    minimal_composite,
 )
-from bernpairs.conjecture import find_exceptions, verify_ratio
-from bernpairs.pairs import (
-    IrregularPair,
-    build_database,
-    lift,
-    scan_special_order2,
-    sieve_prime,
-)
-from bernpairs.verify import EXCEPTION_ROWS, MN2_SEARCH
+from bernpairs.conjecture import verify_ratio
+from bernpairs.pairs import build_database, lift
+from bernpairs.verify import CHECKS, run_check
+
+_ROWS = {c.id: c for c in CHECKS}
 
 
-def _record_rows(records):
-    return [
-        ((r.pair.p, r.pair.l), r.m, r.factors, r.witnesses) for r in records
-    ]
+def _run_rows(ctx, *ids):
+    failed = {i: run_check(_ROWS[i], ctx) for i in ids}
+    assert {i: why for i, why in failed.items() if why is not None} == {}
 
 
-def test_criterion_1_sequence_reproduction():
+def test_criterion_1_sequence_reproduction(verify_ctx):
     t0 = time.monotonic()
-    db = build_database(160, jobs=1)
-    primes = db.irregular_primes()[:7]
-    assert primes == [37, 59, 67, 101, 103, 131, 149]
-    halves = []
-    for p in primes:
-        a = lambda_prime(p, db)
-        assert a % 2 == 0
-        halves.append(a // 2)
-    assert halves == [574, 1269, 1910, 3384, 1185, 1376, 9611]
+    _run_rows(verify_ctx, "sequence/a092291")
     elapsed = time.monotonic() - t0
     assert elapsed < 5
     print(
@@ -81,25 +68,22 @@ def test_criterion_2_exact_ground_truth():
     )
 
 
-def test_criterion_3_first_counterexample():
+def test_criterion_3_first_counterexample(verify_ctx, db6500_build_seconds):
     t0 = time.monotonic()
     assert 4883 * 6449 % 256 == 163
-    db = build_database(6500, jobs=1)
-    got = _record_rows(find_exceptions(db))
-    assert got == list(EXCEPTION_ROWS[:1])
-    elapsed = time.monotonic() - t0
+    _run_rows(verify_ctx, "exceptions/first")
+    elapsed = time.monotonic() - t0 + db6500_build_seconds
     assert elapsed < 900
     print(
         f"CRITERION 3 PASS: sole exception below 6500 is (6449,4884) with "
-        f"witness (257,164) ({elapsed:.2f}s)"
+        f"witness (257,164) ({elapsed:.2f}s including the sieve)"
     )
 
 
 @pytest.mark.extended
-def test_criterion_4_five_row_table(db16000, db16000_build_seconds):
+def test_criterion_4_five_row_table(verify_ctx16000, db16000_build_seconds):
     t0 = time.monotonic()
-    got = _record_rows(find_exceptions(db16000))
-    assert got == list(EXCEPTION_ROWS)
+    _run_rows(verify_ctx16000, "exceptions/five-rows")
     elapsed = time.monotonic() - t0 + db16000_build_seconds
     assert elapsed < 7200
     print(
@@ -108,15 +92,9 @@ def test_criterion_4_five_row_table(db16000, db16000_build_seconds):
     )
 
 
-def test_criterion_5_composite_minimum():
+def test_criterion_5_composite_minimum(verify_ctx):
     t0 = time.monotonic()
-    res = minimal_composite(2, MN2_SEARCH["u0"], build_database(160, jobs=1), jobs=1)
-    assert res.value == MN2_SEARCH["value"]
-    assert res.c == MN2_SEARCH["c"]
-    assert set((q.p, q.l) for q in res.pairs) == set(MN2_SEARCH["pairs"])
-    logged = {e.value: set((q.p, q.l) for q in e.pairs) for e in res.log}
-    first_value, _root, first_pairs = MN2_SEARCH["log"][0]
-    assert logged[first_value] == set(first_pairs)
+    _run_rows(verify_ctx, "minimum/2-seeded")
     elapsed = time.monotonic() - t0
     assert elapsed < 1800
     print(
@@ -125,18 +103,9 @@ def test_criterion_5_composite_minimum():
     )
 
 
-def test_criterion_6_order3_candidates():
+def test_criterion_6_order3_candidates(verify_ctx):
     t0 = time.monotonic()
-    assert (401, 382) in [(q.p, q.l) for q in sieve_prime(401)]
-    assert (1217, 1118) in [(q.p, q.l) for q in sieve_prime(1217)]
-    s1 = [IrregularPair(37, 32), IrregularPair(59, 44), IrregularPair(101, 68)]
-    s2 = [
-        IrregularPair(157, 62),
-        IrregularPair(401, 382),
-        IrregularPair(1217, 1118),
-    ]
-    assert joint_index(s1) == 3979497668
-    assert joint_index(s2) == 3754314782
+    _run_rows(verify_ctx, "joint-index/37-59-101", "joint-index/157-401-1217")
     elapsed = time.monotonic() - t0
     assert elapsed < 60
     print(
@@ -145,18 +114,9 @@ def test_criterion_6_order3_candidates():
     )
 
 
-def test_criterion_7_order2_lifts():
+def test_criterion_7_order2_lifts(verify_ctx):
     t0 = time.monotonic()
-    assert lift(IrregularPair(353, 186), 2).digits == (186, 190)
-    assert lift(IrregularPair(647, 554), 2).digits == (554, 558)
-    report = scan_special_order2(build_database(1000, jobs=1), jobs=1)
-    assert report.failures == []
-    assert report.special == []
-    assert report.min_abs_diff == 4
-    assert sorted((op.p, op.digits) for op in report.min_pairs) == [
-        (353, (186, 190)),
-        (647, (554, 558)),
-    ]
+    _run_rows(verify_ctx, "lift/353-186", "lift/647-554", "scan/order2-1000")
     elapsed = time.monotonic() - t0
     assert elapsed < 1200
     print(

@@ -121,19 +121,6 @@ def test_set_validation():
 # ------------------------------------------------------------- joint_index
 
 
-def test_joint_index_frozen():
-    assert joint_index([P(37, 32), P(59, 44)]) == 272876
-    assert joint_index([P(103, 24), P(149, 130)]) == 107430
-    assert joint_index([P(37, 32), P(59, 44), P(101, 68)]) == 3979497668
-
-
-def test_joint_index_after_sieve_confirmation(db6500):
-    assert [q.l for q in db6500.pairs_for(401)] == [382]
-    assert 1118 in [q.l for q in db6500.pairs_for(1217)]  # three pairs here
-    got = joint_index([P(157, 62), P(401, 382), P(1217, 1118)])
-    assert got == 3754314782
-
-
 def test_joint_index_congruences(db1000):
     # m-1 divisible by every p, m in the right class mod every p-1, minimal
     pairs = [P(37, 32), P(59, 44)]
@@ -160,9 +147,6 @@ def test_joint_index_minimality_brute():
 
 
 def test_lambda_prime(db160):
-    assert lambda_prime(37, db160) == 1148
-    assert lambda_prime(59, db160) == 2538
-    assert lambda_prime(157, db160) == 9578  # two pairs, minimum over both
     with pytest.raises(NotIrregular):
         lambda_prime(41, db160)
 

@@ -107,15 +107,6 @@ def test_exception_congruences():
     assert 4883 * 6449 % 256 == 163 == (164 - 1) % 256
 
 
-@pytest.mark.extended
-def test_find_exceptions_full_range(db16000):
-    got = [
-        ((r.pair.p, r.pair.l), r.m, r.factors, r.witnesses)
-        for r in find_exceptions(db16000)
-    ]
-    assert got == list(EXCEPTION_ROWS)
-
-
 def test_find_exceptions_first_only(db6500):
     got = find_exceptions(db6500)
     assert len(got) == 1

@@ -108,6 +108,19 @@ def test_database_restrict(db6500, db160):
         db160.restrict(200)
 
 
+def test_database_drops_primes_without_pairs(tmp_path):
+    db = PairDatabase(100, {7: [], 37: [(32, None)]})
+    assert db.irregular_primes() == [37]
+    assert not db.is_irregular(7)
+    assert db == PairDatabase(100, {37: [(32, None)]})
+    path = tmp_path / "db.txt"
+    db.save(str(path))
+    assert load_database(str(path)) == db
+    # every key must lie below max_p, with or without rows
+    with pytest.raises(ValueError, match="not below max_p"):
+        PairDatabase(10, {97: []})
+
+
 def test_build_determinism_across_jobs(tmp_path):
     one = build_database(400, jobs=1)
     two = build_database(400, jobs=2)
@@ -244,8 +257,6 @@ def test_delta_nonzero_everywhere(db6500):
 
 
 def test_lift_frozen_examples():
-    assert lift(IrregularPair(353, 186), 2).digits == (186, 190)
-    assert lift(IrregularPair(647, 554), 2).digits == (554, 558)
     assert str(lift(IrregularPair(353, 186), 2)) == "(353;186,190)"
     # order-3 lift, matching the brute-force search below
     assert lift(IrregularPair(37, 32), 3).digits == (32, 7, 28)
