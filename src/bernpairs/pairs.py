@@ -297,9 +297,13 @@ def _pool_map(fn: Callable, work: Sequence, jobs: Optional[int], chunksize: int)
     vCPUs the order-2 scan of the 9 pairs below 200 took 0.007-0.016 s inline
     against 0.066-0.10 s pooled. Larger batches keep the pool: the 81 pairs
     below 1000 scan in 0.29-0.32 s pooled against 0.39 s inline, and
-    build_database(2000) takes 0.43-0.47 s against 0.60-0.67 s. Sieve
-    batches of 27 and 35 primes are faster inline too, but running them in
-    the parent grew its resident set by about 0.07 MB more.
+    build_database(6500) takes 1.2-1.3 s against 2.1-2.3 s; at 2000 the two
+    are about even (0.14-0.30 s against 0.17-0.19 s). The 35-prime seed
+    batch and the 29-prime gap batch of the M_2 search run about 0.03 s
+    faster inline, but then the parent's first sieve rows fault in numpy
+    code pages that otherwise only the workers touch: the benchmark's
+    `tables` rss_growth_mb rose from 0.71 to 0.84-0.91 MB. So they stay
+    pooled.
     """
     jobs = os.cpu_count() or 1 if jobs is None else jobs
     if jobs <= 1 or len(work) < 16:

@@ -4,8 +4,9 @@ CHECKS is the one table of reference values: each row names a computation
 and the value it must equal exactly; there are no tolerances anywhere. The
 tests run the same rows by id through run_check. The quick rows take under
 2 s together, the M_2 search included; the full tier adds the database builds
-to p = 16000 and the order-2 scan below 1000, about 45 s with one job and 25 s
-with two (2 vCPUs, numpy sieve).
+to p = 16000 and the order-2 scan below 1000, about 23 s with one job and 14 s
+with two (2 vCPUs, numpy sieve). Each PASS/FAIL line ends in the row's wall
+seconds.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import math
 import os
 import tempfile
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -292,18 +294,21 @@ def run_suite(
     jobs: Optional[int] = None,
     out: Callable[[str], None] = print,
 ) -> int:
-    """Run every row (only the quick ones when quick), print PASS/FAIL lines, count failures."""
+    """Run every row (only the quick ones when quick), print PASS/FAIL lines
+    with each row's wall seconds, count failures."""
     ctx = _Ctx(jobs=jobs)
     ran = failures = 0
     for check in CHECKS:
         if quick and not check.quick:
             continue
         ran += 1
+        t0 = time.perf_counter()
         detail = run_check(check, ctx)
+        took = f"({time.perf_counter() - t0:.3f} s)"
         if detail is None:
-            out(f"PASS {check.id}")
+            out(f"PASS {check.id} {took}")
         else:
-            out(f"FAIL {check.id}: {detail}")
+            out(f"FAIL {check.id} {took}: {detail}")
             failures += 1
     out(f"{ran - failures}/{ran} checks passed")
     return failures

@@ -1,8 +1,11 @@
 """Command line interface: pinned output lines, exit codes, CSV side files."""
 
+import dataclasses
+import re
+
 import pytest
 
-from bernpairs import cli
+from bernpairs import cli, verify
 from bernpairs.pairs import build_database, load_database
 from bernpairs.verify import MN2_SEARCH
 
@@ -182,8 +185,22 @@ def test_domain_errors_exit_1(db160_file, capsys):
     assert capsys.readouterr().err.startswith("DatabaseTooSmall:")
 
 
-def test_verify_quick(capsys):
+def test_verify_quick(monkeypatch, capsys):
+    # the CLI wiring on two rows; tests/test_verify.py runs every real row
+    real = next(c for c in verify.CHECKS if c.id == "joint-index/37-59")
+    wrong = dataclasses.replace(real, id="joint-index/wrong", want=real.want + 1)
+    monkeypatch.setattr(verify, "CHECKS", (real, wrong))
+    assert cli.main(["verify", "--quick", "--jobs", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    seconds = r"\(\d+\.\d{3} s\)"
+    assert re.fullmatch(rf"PASS joint-index/37-59 {seconds}", lines[0])
+    assert re.fullmatch(
+        rf"FAIL joint-index/wrong {seconds}: expected 272877, got 272876", lines[1]
+    )
+    assert lines[2:] == ["1/2 checks passed"]
+
+    monkeypatch.setattr(verify, "CHECKS", (real,))
     assert cli.main(["verify", "--quick", "--jobs", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert "checks passed" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(rf"PASS joint-index/37-59 {seconds}", lines[0])
+    assert lines[1:] == ["1/1 checks passed"]
