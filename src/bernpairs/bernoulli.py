@@ -15,8 +15,11 @@ Two routes, checked against each other in tests:
 
   where p B_j is a p-adic integer for every even j (von Staudt-Clausen).
   Working mod p^L, term i needs p B_(j-2i) only mod p^(L - 2i + v_p(2i+1)),
-  so the recursion is short and costs p modular powers per level. B_n/n
-  mod p^k then comes from L = k + v_p(n) + 1 by dividing out p and n.
+  so the recursion is short. Since a -> a^j is completely multiplicative,
+  S_j(p) mod p^L costs one modular power per prime below p (pi(p) of them)
+  and one multiplication per composite; mod p it is Fermat's closed form,
+  with no power at all. B_n/n mod p^k then comes from L = k + v_p(n) + 1
+  by dividing out p and n.
 
 The table of B_k mod p for one prime and all k comes from the sieve kernel
 in _kernels.
@@ -105,13 +108,40 @@ def _unit_over(e: int, q: int, p: int, M: int) -> int:
     return pow(p, e - v, M) * pow(q // p**v, -1, M) % M
 
 
+def _power_sum(j: int, p: int, M: int) -> int:
+    """S_j(p) = sum_{a<p} a^j mod M, for j >= 1 and M = p^L with L >= 1.
+
+    Mod p this is Fermat's closed form: -1 when (p-1) | j, else 0. Otherwise
+    f(a) = a^j mod M is one pow() for each prime a and f(q) * f(a/q) for each
+    composite a, where div[a] is a prime factor q of a with q^2 <= a. Every
+    cofactor a/q lies below (p+1)/2, so f is kept only there. Transient
+    memory is O(p) words: div holds p entries and f (p+1)/2 residues mod M.
+    """
+    if M == p:
+        return p - 1 if j % (p - 1) == 0 else 0
+    div = [0] * p
+    for q in range(2, math.isqrt(p - 1) + 1):
+        if not div[q]:
+            div[q * q :: q] = [q] * len(range(q * q, p, q))
+    h = (p + 1) // 2
+    f = [0] * h
+    for a in range(1, h):
+        q = div[a]
+        f[a] = f[q] * f[a // q] % M if q else pow(a, j, M)
+    acc = sum(f)
+    for a in range(h, p):
+        q = div[a]
+        acc += f[q] * f[a // q] % M if q else pow(a, j, M)
+    return acc % M
+
+
 def _p_bernoulli(j: int, p: int, L: int, memo: Dict[Tuple[int, int], int]) -> int:
     """p*B_j mod p^L for even j >= 2 (p-integral for every j, poles included)."""
     key = (j, L)
     if key in memo:
         return memo[key]
     M = p**L
-    acc = sum(pow(a, j, M) for a in range(1, p)) + pow(p, j, M) * pow(2, -1, M)
+    acc = _power_sum(j, p, M) + pow(p, j, M) * pow(2, -1, M)
     acc -= _unit_over(j + 1, j + 1, p, M)
     # term i has valuation >= 2i - v_p(2i+1) > 2i - bit_length(2i+1)
     i = 1

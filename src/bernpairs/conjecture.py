@@ -132,8 +132,9 @@ def verify_ratio(m: int) -> int:
     Computed as gcd(num(B_m/m), m-1) = prod q^min(e, v_q(B_m/m)) over the
     prime powers q^e exactly dividing m-1, skipping q with (q-1) | m (among
     them q = 3), where B_m/m has a pole. Each remaining q costs one residue
-    B_m/m mod q^e, about q modular powers per recursion level, so the largest
-    prime factor of m-1 sets the cost.
+    B_m/m mod q^e: per recursion level, one modular power per prime below q
+    and one multiplication per composite, in O(q) words of transient memory.
+    So the largest prime factor of m-1 sets the cost.
     """
     if m < 2 or m % 2 == 1:
         raise ValueError(f"need an even m >= 2, got {m}")

@@ -333,12 +333,8 @@ def build_database(max_p: int, jobs: Optional[int] = None) -> PairDatabase:
     return PairDatabase(max_p, entries)
 
 
-def delta(pair: IrregularPair) -> DeltaValue:
-    """The lifting slope of an irregular pair, as a residue digit in [0, p).
-
-    Raises NotIrregular when B_l/l is not divisible by p (so the input was not
-    an irregular pair after all).
-    """
+def _residue_and_delta(pair: IrregularPair) -> Tuple[int, int]:
+    """(B_l/l mod p^2, delta), so that a lift reuses the residue delta needs."""
     p, l = pair.p, pair.l
     w0 = divided_bernoulli_mod_pk(l, p, 2).value
     if w0 % p:
@@ -347,7 +343,16 @@ def delta(pair: IrregularPair) -> DeltaValue:
     diff = (w1 - w0) % (p * p)
     if diff % p:
         raise AssertionError("Kummer congruence violated; kernel bug")
-    return DeltaValue(pair, diff // p)
+    return w0, diff // p
+
+
+def delta(pair: IrregularPair) -> DeltaValue:
+    """The lifting slope of an irregular pair, as a residue digit in [0, p).
+
+    Raises NotIrregular when B_l/l is not divisible by p (so the input was not
+    an irregular pair after all).
+    """
+    return DeltaValue(pair, _residue_and_delta(pair)[1])
 
 
 def lift_digits(pair: IrregularPair) -> Iterator[int]:
@@ -358,7 +363,7 @@ def lift_digits(pair: IrregularPair) -> Iterator[int]:
     vanishes; raises NotIrregular for a non-pair.
     """
     p, l = pair.p, pair.l
-    d = delta(pair).delta
+    w, d = _residue_and_delta(pair)
     if d == 0:
         raise DeltaZero(p, l)
     dinv = pow(d, -1, p)
@@ -374,7 +379,8 @@ def lift_digits(pair: IrregularPair) -> Iterator[int]:
                 limit=LIMITS.lift_max_order,
             )
         pj = p**j
-        w = divided_bernoulli_mod_pk(l_j, p, j + 1).value
+        if j > 1:  # at j = 1, w is B_l/l mod p^2 from the slope already
+            w = divided_bernoulli_mod_pk(l_j, p, j + 1).value
         if w % pj:
             raise AssertionError(f"order-{j} index {l_j} lost divisibility")
         s = -(w // pj) * dinv % p

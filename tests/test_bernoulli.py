@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bernpairs.arith import primes_below, rational_mod
 from bernpairs.bernoulli import (
+    _power_sum,
     bernoulli_exact,
     bernoulli_mod_p_all,
     divided_bernoulli_mod_pk,
@@ -97,29 +98,49 @@ def test_mod_p_table_irregular_zeros():
 
 
 def test_faulhaber_equals_exact_on_overlap():
-    # every even n <= 400, prime 5 <= p <= 100, k <= 3 off the poles
+    # every even n <= 400, prime 5 <= p <= 100, k <= 3 off the poles; then a
+    # few n <= 1000 at primes whose power sums reuse composites with large
+    # prime factors (up to 113 at p = 15991)
+    cases = [(n, p) for p in primes_below(101) if p >= 5 for n in range(2, 401, 2)]
+    cases += [(n, p) for p in (1009, 6449, 15991) for n in (2, 164, 574, 1000)]
     checked = 0
-    for p in primes_below(101):
-        if p < 5:
+    for n, p in cases:
+        if n % (p - 1) == 0:
             continue
-        for n in range(2, 401, 2):
-            if n % (p - 1) == 0:
-                continue
-            for k in (1, 2, 3):
-                got = divided_bernoulli_mod_pk(n, p, k).value
-                assert got == exact_divided(n, p, k), (
-                    f"Faulhaber route disagrees at n={n}, p={p}, k={k}"
-                )
-                checked += 1
+        for k in (1, 2, 3):
+            got = divided_bernoulli_mod_pk(n, p, k).value
+            assert got == exact_divided(n, p, k), (
+                f"Faulhaber route disagrees at n={n}, p={p}, k={k}"
+            )
+            checked += 1
     assert checked > 10000
 
 
 def test_faulhaber_multiword_modulus():
-    # 5^26 > 2^60: precision well past one machine word, including n = 2
-    for n in (2, 6, 398):
-        got = divided_bernoulli_mod_pk(n, 5, 26)
-        assert got.modulus == 5**26 >= 1 << 60
-        assert got.value == exact_divided(n, 5, 26), n
+    # 5^26 > 2^60 and 5^28 > 2^64: precision past one machine word, n = 2 too
+    for k in (26, 28):
+        for n in (2, 6, 398):
+            got = divided_bernoulli_mod_pk(n, 5, k)
+            assert got.modulus == 5**k >= 1 << 60
+            assert got.value == exact_divided(n, 5, k), (n, k)
+
+
+@st.composite
+def _power_sum_inputs(draw):
+    p = draw(st.sampled_from([3, 5]) | st.sampled_from(primes_below(3000)))
+    j = draw(
+        st.integers(1, 4).map(lambda t: t * (p - 1))  # Fermat's -1 case
+        | st.integers(1, 2 * p).map(lambda t: 2 * t)
+    )
+    return p, j, draw(st.integers(1, 4))
+
+
+@given(_power_sum_inputs())
+@settings(max_examples=150, deadline=None)
+def test_power_sum_property(args):
+    p, j, L = args
+    M = p**L
+    assert _power_sum(j, p, M) == sum(pow(a, j, M) for a in range(1, p)) % M
 
 
 @given(st.sampled_from([5, 7, 11, 13]), st.integers(2, 490))

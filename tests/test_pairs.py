@@ -251,9 +251,31 @@ def test_delta_rejects_regular_pair():
         lift(IrregularPair(41, 10), 2)
 
 
-def test_delta_nonzero_everywhere(db6500):
-    for q in db6500.all_pairs():
+@pytest.mark.parametrize(
+    "db_name", ["db6500", pytest.param("db16000", marks=pytest.mark.extended)]
+)
+def test_delta_nonzero_everywhere(db_name, request):
+    for q in request.getfixturevalue(db_name).all_pairs():
         assert delta(q).delta != 0
+
+
+def test_residue_calls_per_lift(monkeypatch):
+    # a lift reuses the residue B_l/l mod p^2 that its slope already took
+    calls = []
+
+    def counted(n, p, k):
+        calls.append((n, p, k))
+        return divided_bernoulli_mod_pk(n, p, k)
+
+    monkeypatch.setattr("bernpairs.pairs.divided_bernoulli_mod_pk", counted)
+    for run, want in [
+        (lambda: delta(IrregularPair(37, 32)), 2),
+        (lambda: lift(IrregularPair(353, 186), 2), 3),
+        (lambda: lift(IrregularPair(37, 32), 3), 5),
+    ]:
+        calls.clear()
+        run()
+        assert len(calls) == want, calls
 
 
 def test_lift_frozen_examples():
