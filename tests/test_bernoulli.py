@@ -127,7 +127,7 @@ def test_faulhaber_multiword_modulus():
 
 @st.composite
 def _power_sum_inputs(draw):
-    p = draw(st.sampled_from([3, 5]) | st.sampled_from(primes_below(3000)))
+    p = draw(st.sampled_from([3, 5]) | st.sampled_from(primes_below(3000)[1:]))
     j = draw(
         st.integers(1, 4).map(lambda t: t * (p - 1))  # Fermat's -1 case
         | st.integers(1, 2 * p).map(lambda t: 2 * t)
