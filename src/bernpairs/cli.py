@@ -15,7 +15,7 @@ import sys
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .composite import lambda_composite, minimal_composite
-from .conjecture import NoSolution, a_value, a_value_prime_power, find_exceptions, verify_ratio
+from .conjecture import NoSolution, a_value_prime_power, find_exceptions, verify_ratio
 from .errors import BernpairsError
 from .pairs import (
     IrregularPair,
@@ -61,7 +61,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]
 def _load_db(args: argparse.Namespace) -> PairDatabase:
     if args.db is not None:
         return load_database(args.db)
-    return build_database(args.max_p, jobs=getattr(args, "jobs", None))
+    return build_database(args.max_p, jobs=args.jobs)
 
 
 def _cmd_sieve(args: argparse.Namespace) -> int:
@@ -95,7 +95,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 def _cmd_a_value(args: argparse.Namespace) -> int:
     pair = IrregularPair(args.p, args.l)
     db = load_database(args.db)
-    res = a_value(pair, db) if args.r == 1 else a_value_prime_power(pair, args.r, db)
+    res = a_value_prime_power(pair, args.r, db)
     if isinstance(res, NoSolution):
         print(f"no solution: s_{res.deviated_at} deviates from s_1 - 1")
     else:

@@ -59,15 +59,6 @@ def test_matches_naive_recurrence():
         assert bernoulli_exact(n) == oracle[n], f"mismatch at B_{n}"
 
 
-def test_von_staudt_clausen_denominators():
-    for n in range(2, 202, 2):
-        expect = 1
-        for q in primes_below(n + 2):
-            if n % (q - 1) == 0:
-                expect *= q
-        assert bernoulli_exact(n).denominator == expect
-
-
 def test_exact_resource_limit():
     with pytest.raises(ResourceLimit):
         bernoulli_exact(LIMITS.max_exact_n + 2)
