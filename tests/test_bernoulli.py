@@ -89,10 +89,11 @@ def test_mod_p_table_irregular_zeros():
 
 
 def test_faulhaber_equals_exact_on_overlap():
-    # every even n <= 400, prime 5 <= p <= 100, k <= 3 off the poles; then a
-    # few n <= 1000 at primes whose power sums reuse composites with large
-    # prime factors (up to 113 at p = 15991)
+    # every even n <= 400, prime 5 <= p <= 100, k <= 3 off the poles; a few
+    # n > 400 at small p; then a few n <= 1000 at primes whose power sums
+    # reuse composites with large prime factors (up to 113 at p = 15991)
     cases = [(n, p) for p in primes_below(101) if p >= 5 for n in range(2, 401, 2)]
+    cases += [(424, 37), (928, 37), (406, 13), (874, 13)]
     cases += [(n, p) for p in (1009, 6449, 15991) for n in (2, 164, 574, 1000)]
     checked = 0
     for n, p in cases:
@@ -151,21 +152,6 @@ def test_kummer_congruence_from_exact_rationals(p, half):
     e = (1 - pow(p, n - 1, pk)) % pk
     e2 = (1 - pow(p, n + phi - 1, pk)) % pk
     assert w * e % pk == w2 * e2 % pk
-
-
-def test_index_reduction_end_to_end():
-    # indices past phi(p^k) must agree with the exact rational at the same index
-    cases = []
-    for t in (1, 3, 17):
-        cases.append((316 + t * 36, 37, 1))
-    for t in (1, 2, 5):
-        cases.append((94 + t * 156, 13, 2))
-        cases.append((22 + t * 20, 5, 2))
-    for n, p, k in cases:
-        assert n % (p - 1) != 0
-        got = divided_bernoulli_mod_pk(n, p, k)
-        assert got.modulus == p**k
-        assert got.value == exact_divided(n, p, k), (n, p, k)
 
 
 def test_pole_at_index():
