@@ -226,7 +226,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("mn", _cmd_mn, "minimum over n-prime composites of the least divisible index", jobs=True)
     sp.add_argument("--n", type=_positive, required=True)
-    sp.add_argument("--u0", type=_positive, default=None, help="starting upper bound")
+    sp.add_argument(
+        "--u0",
+        type=_positive,
+        default=None,
+        help="exclusive starting bound: only m < U0 is searched, so confirming "
+        "a known M_n takes U0 = M_n + 1 (exit 1 when nothing lies below U0)",
+    )
     sp.add_argument("--db", default=None, help="seed database file (default: built)")
     sp.add_argument("--log", action="store_true", help="print the improving-candidates table")
     sp.add_argument("--csv", help="write the candidates table to this CSV file")

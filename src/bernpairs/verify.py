@@ -3,9 +3,10 @@
 CHECKS is the one table of reference values: each row names a computation
 and the value it must equal exactly; there are no tolerances anywhere. The
 tests run the same rows by id through run_check and assert no row's value a
-second time. The quick rows take under 2 s together, the M_2 search
-included; the full tier adds the database builds to p = 16000 and the
-order-2 scan below 1000, about 22 s with one job and 11 s with two (2 vCPUs,
+second time. The 40 quick rows take about 1 s together, the M_2 search
+included; the 45 of the full tier add the database build to p = 16000, the
+two-route ratio check at its 954 candidate indices (about 4 s) and the
+order-2 scan below 1000, about 27 s with one job and 15 s with two (2 vCPUs,
 numpy sieve). Each PASS/FAIL line ends in the row's wall seconds.
 """
 
@@ -37,24 +38,21 @@ from .pairs import (
 
 
 class _Ctx:
-    """Shared lazily-built databases; smaller bounds restrict from larger ones.
+    """One lazily built database: a larger bound rebuilds it, a smaller one
+    restricts it.
 
-    dbs seeds databases built elsewhere, so a caller that already holds one
+    db seeds a database built elsewhere, so a caller that already holds one
     never sieves its primes again.
     """
 
-    def __init__(self, jobs: Optional[int] = None, dbs: Iterable[PairDatabase] = ()):
+    def __init__(self, jobs: Optional[int] = None, db: Optional[PairDatabase] = None):
         self.jobs = jobs
-        self._dbs: Dict[int, PairDatabase] = {db.max_p: db for db in dbs}
+        self._db = db
 
     def db(self, max_p: int) -> PairDatabase:
-        if max_p not in self._dbs:
-            covering = [b for b in self._dbs if b >= max_p]
-            if covering:
-                self._dbs[max_p] = self._dbs[min(covering)].restrict(max_p)
-            else:
-                self._dbs[max_p] = build_database(max_p, jobs=self.jobs)
-        return self._dbs[max_p]
+        if self._db is None or max_p > self._db.max_p:
+            self._db = build_database(max_p, jobs=self.jobs)
+        return self._db.restrict(max_p)
 
 
 # one tuple per reference exception row: pair, index, factors of l-1, witnesses
@@ -124,6 +122,32 @@ def _cli_a_value_6449(ctx: _Ctx) -> Tuple[int, str]:
 
 def _exception_rows(db: PairDatabase) -> Tuple[tuple, ...]:
     return tuple(((r.pair.p, r.pair.l), r.m, r.factors, r.witnesses) for r in find_exceptions(db))
+
+
+def _ratio_candidates(ctx: _Ctx) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
+    """verify_ratio against Kummer at every candidate index below 16000.
+
+    At m = (l-1)p + 1, a prime q exactly dividing m-1 divides the ratio iff
+    k = m mod (q-1) is nonzero and (q, k) is a pair of the database, which
+    holds every such q <= p. Returns the mismatch count and the pairs whose
+    ratio is not p.
+    """
+    db = ctx.db(16000)
+    mismatches, off = 0, []
+    for pair in db.all_pairs():
+        m = (pair.l - 1) * pair.p + 1
+        predicted = 1
+        for q, e in factorize(m - 1):
+            k = m % (q - 1)
+            if k and any(x.l == k for x in db.pairs_for(q)):
+                if e > 1:  # v_q(B_m/m) could exceed 1; the sieve cannot tell
+                    raise ValueError(f"{q}^{e} divides m-1 at m={m} with ({q},{k}) irregular")
+                predicted *= q
+        got = verify_ratio(m)
+        mismatches += got != predicted
+        if got != pair.p:
+            off.append((pair.p, pair.l))
+    return mismatches, tuple(off)
 
 
 def _mn2_search(ctx: _Ctx, u0: Optional[int]) -> tuple:
@@ -259,6 +283,10 @@ CHECKS: Tuple[Check, ...] = (
     ),
     # slow tier: large database builds and full scans
     Check("exceptions/five-rows", False, lambda c: _exception_rows(c.db(16000)), EXCEPTION_ROWS),
+    Check(
+        "ratio/candidates-16000", False, _ratio_candidates,
+        (0, tuple(r[0] for r in EXCEPTION_ROWS)),
+    ),
     Check("exceptions/first", False, lambda c: _exception_rows(c.db(6500)), EXCEPTION_ROWS[:1]),
     Check(
         "cli/a-value-6449", False, _cli_a_value_6449,
@@ -281,11 +309,7 @@ def run_check(check: Check, ctx: _Ctx) -> Optional[str]:
     return None if got == check.want else f"expected {check.want!r}, got {got!r}"
 
 
-def run_suite(
-    quick: bool = False,
-    jobs: Optional[int] = None,
-    out: Callable[[str], None] = print,
-) -> int:
+def run_suite(quick: bool = False, jobs: Optional[int] = None) -> int:
     """Run every row (only the quick ones when quick), print PASS/FAIL lines
     with each row's wall seconds, count failures."""
     ctx = _Ctx(jobs=jobs)
@@ -298,9 +322,9 @@ def run_suite(
         detail = run_check(check, ctx)
         took = f"({time.perf_counter() - t0:.3f} s)"
         if detail is None:
-            out(f"PASS {check.id} {took}")
+            print(f"PASS {check.id} {took}")
         else:
-            out(f"FAIL {check.id} {took}: {detail}")
+            print(f"FAIL {check.id} {took}: {detail}")
             failures += 1
-    out(f"{ran - failures}/{ran} checks passed")
+    print(f"{ran - failures}/{ran} checks passed")
     return failures

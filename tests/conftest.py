@@ -57,7 +57,7 @@ def db160(db16000):
 @pytest.fixture(scope="session")
 def verify_ctx(db16000):
     """The context every `verify` row runs in, over the shared build."""
-    return _Ctx(jobs=1, dbs=[db16000])
+    return _Ctx(jobs=1, db=db16000)
 
 
 @pytest.fixture(scope="session")

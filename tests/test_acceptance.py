@@ -1,19 +1,22 @@
 """Acceptance gate: eight criteria, one pass/fail line each.
 
-Each criterion is a single test. Criteria 1-7 run their rows of the
-`verify` reference table by id through run_check, over the session's one
-p < 16000 build; that build's time counts in full against both criteria
-whose budgets cover a sieve (3 and 4). Criterion 2 adds the
-exact-rational gcds and the clean progressions below its two indices, and
-criterion 8 runs the property suites, which no module test repeats. Budgets
-are asserted with generous wall-clock bounds; the numpy sieve kernel fits
-inside every one of them.
+Criteria 1 and 3-7 are rows of GATE, run by one parametrized test
+(`test_criterion[n]`): each names its rows of the `verify` reference table,
+which run by id through run_check over the session's one p < 16000 build,
+its budget, and its PASS text. That build's time counts in full against the
+two criteria whose budgets cover a sieve (3 and 4). An id missing from the
+table fails collection. Criterion 2 adds the exact-rational gcds and the
+clean progressions below its two indices, and criterion 8 runs the property
+suites, which no module test repeats. Budgets are generous wall-clock
+bounds; the numpy sieve kernel fits inside every one of them.
 """
 
 import itertools
 import math
 import random
 import time
+
+import pytest
 
 from bernpairs.arith import primes_below, rational_mod
 from bernpairs.bernoulli import (
@@ -33,29 +36,45 @@ from bernpairs.pairs import build_database, lift
 from bernpairs.verify import CHECKS, run_check
 
 _ROWS = {c.id: c for c in CHECKS}
+assert len(_ROWS) == len(CHECKS), "duplicate CHECKS ids"
+
+# criterion: its CHECKS row ids, budget in seconds, whether the budget is
+# charged the db16000 build, and its PASS text
+GATE = {
+    1: (("sequence/a092291",), 5, False,
+        "A(p)/2 sequence for first seven irregular primes"),
+    3: (("exceptions/first",), 900, True,
+        "sole exception below 6500 is (6449,4884) with witness (257,164)"),
+    4: (("exceptions/five-rows",), 7200, True, "all five exceptions below 16000 match"),
+    5: (("minimum/2-seeded",), 1800, False,
+        "M_2=107430 at c=103*149 with 272876 in the search log"),
+    6: (("joint-index/37-59-101", "joint-index/157-401-1217"), 60, False,
+        "both three-prime joint indices match"),
+    7: (("lift/353-186", "lift/647-554", "scan/order2-1000"), 1200, False,
+        "no special order-2 pair below 1000, min |s1-s2| = 4"),
+}
+_unknown = {i for ids, *_ in GATE.values() for i in ids} - _ROWS.keys()
+assert not _unknown, f"GATE names unknown CHECKS ids {sorted(_unknown)}"
 
 
-def _run_rows(ctx, *ids):
-    failed = {i: run_check(_ROWS[i], ctx) for i in ids}
-    assert {i: why for i, why in failed.items() if why is not None} == {}
-
-
-def test_criterion_1_sequence_reproduction(verify_ctx):
+@pytest.mark.parametrize("n", sorted(GATE))
+def test_criterion(n, verify_ctx, db16000_build_seconds):
+    ids, budget, charged, text = GATE[n]
     t0 = time.monotonic()
-    _run_rows(verify_ctx, "sequence/a092291")
-    elapsed = time.monotonic() - t0
-    assert elapsed < 5
-    print(
-        f"CRITERION 1 PASS: A(p)/2 sequence for first seven irregular primes "
-        f"({elapsed:.2f}s)"
-    )
+    failed = {i: run_check(_ROWS[i], verify_ctx) for i in ids}
+    assert {i: why for i, why in failed.items() if why is not None} == {}
+    elapsed = time.monotonic() - t0 + (db16000_build_seconds if charged else 0)
+    assert elapsed < budget
+    sieve = " including the sieve" if charged else ""
+    print(f"CRITERION {n} PASS: {text} ({elapsed:.2f}s{sieve})")
 
 
 def test_criterion_2_exact_ground_truth(verify_ctx):
     t0 = time.monotonic()
     assert math.gcd(numerator_pair(1148)[0], 1147) == 37
     assert math.gcd(numerator_pair(2538)[0], 2537) == 59
-    _run_rows(verify_ctx, "ratio/1148", "ratio/2538")
+    assert run_check(_ROWS["ratio/1148"], verify_ctx) is None
+    assert run_check(_ROWS["ratio/2538"], verify_ctx) is None
     for m in range(32, 1148, 36):
         assert verify_ratio(m) != 37, f"ratio hit 37 early at m={m}"
     for m in range(44, 2538, 58):
@@ -65,61 +84,6 @@ def test_criterion_2_exact_ground_truth(verify_ctx):
     print(
         f"CRITERION 2 PASS: A(37)=1148 and A(59)=2538 from exact rationals "
         f"and residues, progressions clean below ({elapsed:.2f}s)"
-    )
-
-
-def test_criterion_3_first_counterexample(verify_ctx, db16000_build_seconds):
-    t0 = time.monotonic()
-    _run_rows(verify_ctx, "exceptions/first")
-    elapsed = time.monotonic() - t0 + db16000_build_seconds
-    assert elapsed < 900
-    print(
-        f"CRITERION 3 PASS: sole exception below 6500 is (6449,4884) with "
-        f"witness (257,164) ({elapsed:.2f}s including the sieve)"
-    )
-
-
-def test_criterion_4_five_row_table(verify_ctx, db16000_build_seconds):
-    t0 = time.monotonic()
-    _run_rows(verify_ctx, "exceptions/five-rows")
-    elapsed = time.monotonic() - t0 + db16000_build_seconds
-    assert elapsed < 7200
-    print(
-        f"CRITERION 4 PASS: all five exceptions below 16000 match "
-        f"({elapsed:.2f}s including the sieve)"
-    )
-
-
-def test_criterion_5_composite_minimum(verify_ctx):
-    t0 = time.monotonic()
-    _run_rows(verify_ctx, "minimum/2-seeded")
-    elapsed = time.monotonic() - t0
-    assert elapsed < 1800
-    print(
-        f"CRITERION 5 PASS: M_2=107430 at c=103*149 with 272876 in the "
-        f"search log ({elapsed:.2f}s)"
-    )
-
-
-def test_criterion_6_order3_candidates(verify_ctx):
-    t0 = time.monotonic()
-    _run_rows(verify_ctx, "joint-index/37-59-101", "joint-index/157-401-1217")
-    elapsed = time.monotonic() - t0
-    assert elapsed < 60
-    print(
-        f"CRITERION 6 PASS: both three-prime joint indices match "
-        f"({elapsed:.2f}s)"
-    )
-
-
-def test_criterion_7_order2_lifts(verify_ctx):
-    t0 = time.monotonic()
-    _run_rows(verify_ctx, "lift/353-186", "lift/647-554", "scan/order2-1000")
-    elapsed = time.monotonic() - t0
-    assert elapsed < 1200
-    print(
-        f"CRITERION 7 PASS: no special order-2 pair below 1000, "
-        f"min |s1-s2| = 4 ({elapsed:.2f}s)"
     )
 
 

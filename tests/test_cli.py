@@ -14,25 +14,16 @@ from bernpairs.pairs import build_database, load_database
 from bernpairs.verify import MN2_SEARCH
 
 
-@pytest.fixture(scope="session")
-def db160_file(tmp_path_factory, db160):
-    path = tmp_path_factory.mktemp("cli") / "db160.txt"
-    db160.save(str(path))
-    return str(path)
+@pytest.fixture
+def db_file(tmp_path, db16000):
+    """Saves db16000 restricted to primes below max_p; returns the path."""
 
+    def save(max_p):
+        path = tmp_path / f"db{max_p}.txt"
+        db16000.restrict(max_p).save(str(path))
+        return str(path)
 
-@pytest.fixture(scope="session")
-def db1000_file(tmp_path_factory, db1000):
-    path = tmp_path_factory.mktemp("cli") / "db1000.txt"
-    db1000.save(str(path))
-    return str(path)
-
-
-@pytest.fixture(scope="session")
-def db6500_file(tmp_path_factory, db6500):
-    path = tmp_path_factory.mktemp("cli") / "db6500.txt"
-    db6500.save(str(path))
-    return str(path)
+    return save
 
 
 def test_sieve_roundtrip(tmp_path, capsys):
@@ -42,17 +33,17 @@ def test_sieve_roundtrip(tmp_path, capsys):
     assert load_database(str(out)) == build_database(40)
 
 
-def test_pairs_listing(db160_file, tmp_path):
+def test_pairs_listing(db_file, tmp_path):
     csv_path = tmp_path / "pairs.csv"
     code = cli.main(
-        ["pairs", "--p", "157", "--db", db160_file, "--csv", str(csv_path)]
+        ["pairs", "--p", "157", "--db", db_file(160), "--csv", str(csv_path)]
     )
     assert code == 0
     assert csv_path.read_text().splitlines() == ["p,l", "157,62", "157,110"]
 
 
-def test_pairs_regular_prime_is_empty(db160_file, capsys):
-    assert cli.main(["pairs", "--p", "41", "--db", db160_file]) == 0
+def test_pairs_regular_prime_is_empty(db_file, capsys):
+    assert cli.main(["pairs", "--p", "41", "--db", db_file(160)]) == 0
     assert capsys.readouterr().out == ""
 
 
@@ -68,22 +59,22 @@ def test_lift_lines(capsys):
     assert capsys.readouterr().out == "(37;32,7,28)\n"
 
 
-def test_a_value_valid(db160_file, capsys):
-    assert cli.main(["a-value", "--p", "37", "--l", "32", "--db", db160_file]) == 0
+def test_a_value_valid(db_file, capsys):
+    assert cli.main(["a-value", "--p", "37", "--l", "32", "--db", db_file(160)]) == 0
     assert capsys.readouterr().out == "m=1148 VALID\n"
 
 
-def test_a_value_prime_power_no_solution(db160_file, capsys):
+def test_a_value_prime_power_no_solution(db_file, capsys):
     code = cli.main(
-        ["a-value", "--p", "37", "--l", "32", "--r", "2", "--db", db160_file]
+        ["a-value", "--p", "37", "--l", "32", "--r", "2", "--db", db_file(160)]
     )
     assert code == 0
     assert capsys.readouterr().out == "no solution: s_2 deviates from s_1 - 1\n"
 
 
-def test_exceptions_listing(db6500_file, tmp_path, capsys):
+def test_exceptions_listing(db_file, tmp_path, capsys):
     csv_path = tmp_path / "exc.csv"
-    code = cli.main(["exceptions", "--db", db6500_file, "--csv", str(csv_path)])
+    code = cli.main(["exceptions", "--db", db_file(6500), "--csv", str(csv_path)])
     assert code == 0
     assert capsys.readouterr().out == (
         "(6449,4884) m=31490468 factors=19*257 witness=(257,164)\n"
@@ -94,24 +85,24 @@ def test_exceptions_listing(db6500_file, tmp_path, capsys):
     ]
 
 
-def test_lambda_finite(db160_file, capsys):
-    assert cli.main(["lambda", "--c", "2183", "--db", db160_file]) == 0
+def test_lambda_finite(db_file, capsys):
+    assert cli.main(["lambda", "--c", "2183", "--db", db_file(160)]) == 0
     assert capsys.readouterr().out == "L(2183)=272876 S={(37,32),(59,44)}\n"
 
 
-def test_lambda_infinite(db1000_file, capsys):
-    assert cli.main(["lambda", "--c", "34453", "--db", db1000_file]) == 0
+def test_lambda_infinite(db_file, capsys):
+    assert cli.main(["lambda", "--c", "34453", "--db", db_file(1000)]) == 0
     assert capsys.readouterr().out == "L(34453)=Infinity\n"
 
 
-def test_lambda_mixed_exponents(db160_file, capsys):
-    assert cli.main(["lambda", "--c", str(37 * 37 * 59), "--db", db160_file]) == 0
+def test_lambda_mixed_exponents(db_file, capsys):
+    assert cli.main(["lambda", "--c", str(37 * 37 * 59), "--db", db_file(160)]) == 0
     out = capsys.readouterr().out
     assert out == "L(80771)=Infinity [unsupported: mixed exponents]\n"
 
 
-def test_lambda_regular_prime_fails(db160_file, capsys):
-    assert cli.main(["lambda", "--c", "7", "--db", db160_file]) == 1
+def test_lambda_regular_prime_fails(db_file, capsys):
+    assert cli.main(["lambda", "--c", "7", "--db", db_file(160)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("NotIrregular:")
 
@@ -120,14 +111,14 @@ def _set_str(pairs):
     return "{" + ",".join(f"({p},{l})" for p, l in pairs) + "}"
 
 
-def test_mn_pinned_line(db160_file, tmp_path):
+def test_mn_pinned_line(db_file, tmp_path):
     csv_path = tmp_path / "mn.csv"
     code = cli.main(
         [
             "mn",
             "--n", "2",
             "--u0", str(MN2_SEARCH["u0"]),
-            "--db", db160_file,
+            "--db", db_file(160),
             "--csv", str(csv_path),
         ]
     )
@@ -162,7 +153,7 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
-def test_domain_errors_exit_1(db160_file, capsys):
+def test_domain_errors_exit_1(db_file, capsys):
     # regular pair: delta refuses
     assert cli.main(["delta", "--p", "37", "--l", "30"]) == 1
     assert capsys.readouterr().err.startswith("NotIrregular:")
@@ -170,7 +161,7 @@ def test_domain_errors_exit_1(db160_file, capsys):
     assert cli.main(["delta", "--p", "35", "--l", "12"]) == 1
     assert capsys.readouterr().err.startswith("ValueError:")
     # query beyond database coverage
-    assert cli.main(["pairs", "--p", "1000003", "--db", db160_file]) == 1
+    assert cli.main(["pairs", "--p", "1000003", "--db", db_file(160)]) == 1
     assert capsys.readouterr().err.startswith("DatabaseTooSmall:")
 
 
