@@ -2,8 +2,8 @@
 
 Subcommands: sieve, pairs, delta, lift, a-value, exceptions, lambda, mn,
 ratio, verify. Human-readable results go to stdout, machine-readable rows
-behind --csv PATH. Exit codes: 0 success, 1 domain error (printed as the
-structured error name), 2 usage error.
+behind --csv PATH. Exit codes: 0 success, 1 domain or file error (one
+stderr line, the error's type name and message), 2 usage error.
 """
 
 from __future__ import annotations
@@ -250,11 +250,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BernpairsError as exc:
+    except (BernpairsError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"ValueError: {exc}", file=sys.stderr)
         return 1
 
 

@@ -3,11 +3,14 @@
 CHECKS is the one table of reference values: each row names a computation
 and the value it must equal exactly; there are no tolerances anywhere. The
 tests run the same rows by id through run_check and assert no row's value a
-second time. The 40 quick rows take about 1 s together, the M_2 search
-included; the 45 of the full tier add the database build to p = 16000, the
-two-route ratio check at its 954 candidate indices (about 4 s) and the
-order-2 scan below 1000, about 27 s with one job and 15 s with two (2 vCPUs,
-numpy sieve). Each PASS/FAIL line ends in the row's wall seconds.
+second time. CLI_EXAMPLES gives each subcommand but `sieve` and `verify` a
+row cli/<id> that pins its exit code and exact stdout; row cli/pairs-157
+lists a file that `sieve` wrote. The 52 quick rows take about 1 s
+together, the M_2 search included; the 58 of the full tier add the database
+build to p = 16000, the two-route ratio check at its 954 candidate indices
+(about 4 s) and the order-2 scan below 1000, about 24 s with one job and
+14-15 s with two (2 vCPUs, numpy sieve). Each PASS/FAIL line ends in the
+row's wall seconds.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .arith import factorize
@@ -113,11 +117,16 @@ def _cli_sieve_then_pairs(ctx: _Ctx) -> Tuple[int, Tuple[int, str]]:
         return code, _run_cli(["pairs", "--p", "157", "--db", path])
 
 
-def _cli_a_value_6449(ctx: _Ctx) -> Tuple[int, str]:
+def _cli_example(args: str, bound: Optional[int], ctx: _Ctx) -> Tuple[int, str]:
+    """The command's exit code and stdout, given ctx.db(bound) as --db unless
+    bound is None."""
+    argv = args.split()
+    if bound is None:
+        return _run_cli(argv)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "db.txt")
-        save_database(ctx.db(6500), path)
-        return _run_cli(["a-value", "--p", "6449", "--l", "4884", "--db", path])
+        save_database(ctx.db(bound), path)
+        return _run_cli([*argv, "--db", path])
 
 
 def _exception_rows(db: PairDatabase) -> Tuple[tuple, ...]:
@@ -170,6 +179,38 @@ _MN2_CLI = (
     f"M_2={MN2_SEARCH['value']} c={'*'.join(str(p) for p, _ in MN2_SEARCH['pairs'])} "
     f"S={_set_str(MN2_SEARCH['pairs'])}\nn S U u\n"
     + "".join(f"2 {_set_str(ps)} {v} {root}\n" for v, root, ps in MN2_SEARCH["log"])
+)
+
+# one subcommand run per row cli/<id>: its arguments, the bound of the
+# database passed as --db (None: no database), and its exact stdout
+CLI_EXAMPLES: Tuple[Tuple[str, str, Optional[int], str], ...] = (
+    ("pairs-41", "pairs --p 41", 160, ""),
+    ("delta-37-32", "delta --p 37 --l 32", None, "37,32,21\n"),
+    ("lift-353-186", "lift --p 353 --l 186", None, "(353;186,190)\n"),
+    ("lift-37-32-order3", "lift --p 37 --l 32 --order 3", None, "(37;32,7,28)\n"),
+    ("a-value-37-32", "a-value --p 37 --l 32", 160, "m=1148 VALID\n"),
+    (
+        "a-value-37-32-r2", "a-value --p 37 --l 32 --r 2", 160,
+        "no solution: s_2 deviates from s_1 - 1\n",
+    ),
+    (
+        "a-value-6449", "a-value --p 6449 --l 4884", 6500,
+        "m=31490468 INVALID witness=(257,164)\n",
+    ),
+    (
+        "exceptions-6500", "exceptions", 6500,
+        "(6449,4884) m=31490468 factors=19*257 witness=(257,164)\n",
+    ),
+    ("lambda-2183", "lambda --c 2183", 160, "L(2183)=272876 S={(37,32),(59,44)}\n"),
+    # 131*263, a friendly set that is not strong friendly
+    ("lambda-34453", "lambda --c 34453", 300, "L(34453)=Infinity\n"),
+    # 37^2*59
+    ("lambda-80771", "lambda --c 80771", 160, "L(80771)=Infinity [unsupported: mixed exponents]\n"),
+    ("mn-2", f"mn --n 2 --u0 {MN2_SEARCH['u0']} --log --jobs=1", None, _MN2_CLI),
+    ("ratio-12", "ratio --m 12", None, "ratio(12)=1\n"),
+    ("ratio-1148", "ratio --m 1148", None, "ratio(1148)=37\n"),
+    # the first exception row, far above the exact-rational cap
+    ("ratio-31490468", "ratio --m 31490468", None, "ratio(31490468)=1657393\n"),
 )
 
 
@@ -276,11 +317,6 @@ CHECKS: Tuple[Check, ...] = (
     Check("cli/pairs-157", True, _cli_sieve_then_pairs, (0, (0, "157,62\n157,110\n"))),
     Check("minimum/2-seeded", True, lambda c: _mn2_search(c, MN2_SEARCH["u0"]), _MN2_WANT),
     Check("minimum/2-unbounded", True, lambda c: _mn2_search(c, None), _MN2_WANT),
-    Check(
-        "cli/mn-2", True,
-        lambda c: _run_cli(["mn", "--n", "2", "--u0", str(MN2_SEARCH["u0"]), "--log", "--jobs=1"]),
-        (0, _MN2_CLI),
-    ),
     # slow tier: large database builds and full scans
     Check("exceptions/five-rows", False, lambda c: _exception_rows(c.db(16000)), EXCEPTION_ROWS),
     Check(
@@ -288,15 +324,17 @@ CHECKS: Tuple[Check, ...] = (
         (0, tuple(r[0] for r in EXCEPTION_ROWS)),
     ),
     Check("exceptions/first", False, lambda c: _exception_rows(c.db(6500)), EXCEPTION_ROWS[:1]),
-    Check(
-        "cli/a-value-6449", False, _cli_a_value_6449,
-        (0, "m=31490468 INVALID witness=(257,164)\n"),
-    ),
     # no special pair below 1000; the closest digits are 4 apart, at two pairs
     Check(
         "scan/order2-1000", False, lambda c: _scan_order2(c, 1000),
         ([], [], 4, ["(353;186,190)", "(647;554,558)"]),
     ),
+) + tuple(
+    # the p < 6500 database is a full-tier build
+    Check(
+        f"cli/{name}", bound is None or bound < 6500, partial(_cli_example, args, bound), (0, out)
+    )
+    for name, args, bound, out in CLI_EXAMPLES
 )
 
 

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from bernpairs.arith import primes_below, rational_mod
+from bernpairs.arith import primes_below
 from bernpairs.bernoulli import (
     bernoulli_exact,
     divided_bernoulli_mod_pk,
@@ -34,6 +34,8 @@ from bernpairs.composite import (
 from bernpairs.conjecture import verify_ratio
 from bernpairs.pairs import build_database, lift
 from bernpairs.verify import CHECKS, run_check
+
+from test_bernoulli import exact_divided
 
 _ROWS = {c.id: c for c in CHECKS}
 assert len(_ROWS) == len(CHECKS), "duplicate CHECKS ids"
@@ -87,10 +89,6 @@ def test_criterion_2_exact_ground_truth(verify_ctx):
     )
 
 
-def _exact_divided(n, p, k):
-    return rational_mod(bernoulli_exact(n) / n, p**k).value
-
-
 def _divided(n, p, k):
     return divided_bernoulli_mod_pk(n, p, k).value
 
@@ -106,7 +104,7 @@ def _suite_kummer_congruences():
         t = rng.randint(1, (1180 - n) // (p - 1))
         n2 = n + t * (p - 1)
         # cross-route: Faulhaber at n, exact rationals at the shifted index
-        assert _divided(n, p, 1) == _exact_divided(n2, p, 1)
+        assert _divided(n, p, 1) == exact_divided(n2, p, 1)
     for _ in range(20):
         p = rng.choice([5, 7, 11, 13])
         phi = p * (p - 1)
@@ -116,7 +114,7 @@ def _suite_kummer_congruences():
         n2 = n + phi
         pk = p * p
         w = _divided(n, p, 2)
-        w2 = _exact_divided(n2, p, 2)
+        w2 = exact_divided(n2, p, 2)
         e = (1 - pow(p, n - 1, pk)) % pk
         e2 = (1 - pow(p, n2 - 1, pk)) % pk
         assert w * e % pk == w2 * e2 % pk

@@ -3,7 +3,8 @@
 The oracle here is the classic binomial recurrence over exact Fractions,
 implemented inline with no shared code with the package (which computes
 through tangent numbers). Modular routes are then checked against the exact
-rationals on every point where both are defined and affordable.
+rationals on every point where both are defined and affordable. The other
+test modules import these two oracles rather than restating them.
 """
 
 import math

@@ -1,8 +1,6 @@
 """Irregular pairs: sieve, database, delta, digit lifting, order-2 scan."""
 
 import hashlib
-import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +27,8 @@ from bernpairs.pairs import (
     scan_special_order2,
     sieve_prime,
 )
+
+from test_bernoulli import naive_bernoulli
 
 # measured once with this package, then re-derived below from the naive
 # Fraction recurrence for three of them
@@ -206,13 +206,7 @@ def test_delta_values_frozen():
 
 def test_delta_against_naive_recurrence():
     # independent oracle: exact Fractions from the defining recurrence
-    count = 131
-    naive = [Fraction(1)]
-    for n in range(1, count):
-        acc = Fraction(0)
-        for j in range(n):
-            acc += math.comb(n + 1, j) * naive[j]
-        naive.append(-acc / (n + 1))
+    naive = naive_bernoulli(131)
     for p, l in [(37, 32), (59, 44), (103, 24)]:
         slope = (naive[l + p - 1] / (l + p - 1) - naive[l] / l) / p
         want = rational_mod(slope, p).value
