@@ -94,6 +94,12 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_lambda_regular_prime_fails(db_file, capsys):
+    assert cli.main(["lambda", "--c", "7", "--db", db_file(160)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("NotIrregular:")
+
+
 def test_domain_errors_exit_1(db_file, tmp_path, capsys):
     # regular pair: delta refuses
     assert cli.main(["delta", "--p", "37", "--l", "30"]) == 1
@@ -104,9 +110,6 @@ def test_domain_errors_exit_1(db_file, tmp_path, capsys):
     # query beyond database coverage
     assert cli.main(["pairs", "--p", "1000003", "--db", db_file(160)]) == 1
     assert capsys.readouterr().err.startswith("DatabaseTooSmall:")
-    # a regular prime has no pair to choose for Lambda
-    assert cli.main(["lambda", "--c", "7", "--db", db_file(160)]) == 1
-    assert capsys.readouterr().err.startswith("NotIrregular:")
     # files the command cannot open: one line, no traceback
     missing = str(tmp_path / "no-such-dir" / "db.txt")
     for argv in (
