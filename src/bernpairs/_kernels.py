@@ -15,6 +15,17 @@ from .errors import ResourceLimit
 BLOCK = 64  # unknowns solved per step of the blocked recurrence
 
 
+def check_row_size(p: int) -> None:
+    """Raise ResourceLimit unless p^3 < 2^62, which the row's int64 sums need
+    (see bern_even_residues). Costs nothing, so callers check before work."""
+    if p**3 >= 1 << 62:
+        raise ResourceLimit(
+            f"sieve row for p={p} needs p^3 < 2^62 for its int64 convolutions",
+            needed=p**3,
+            limit=1 << 62,
+        )
+
+
 def bern_even_residues(p: int) -> List[int]:
     """B_k mod p for all even k with 2 <= k <= p-3, for odd prime p >= 5.
 
@@ -43,12 +54,7 @@ def bern_even_residues(p: int) -> List[int]:
     """
     if p < 5 or p % 2 == 0:
         raise ValueError(f"need an odd prime >= 5, got {p}")
-    if p**3 >= 1 << 62:
-        raise ResourceLimit(
-            f"sieve row for p={p} needs p^3 < 2^62 for its int64 convolutions",
-            needed=p**3,
-            limit=1 << 62,
-        )
+    check_row_size(p)
     fact = [1] * (p - 1)  # fact[j] = j!, j <= p-2
     for j in range(1, p - 1):
         fact[j] = fact[j - 1] * j % p

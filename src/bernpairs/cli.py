@@ -184,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--jobs",
                 type=_positive,
                 default=None,
-                help="worker processes (default: all cores)",
+                help="worker processes, at most one per core (default: all cores)",
             )
         return sp
 

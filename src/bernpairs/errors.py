@@ -9,7 +9,21 @@ from __future__ import annotations
 
 
 class BernpairsError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    Pickles by its message and attributes, not its constructor's arguments:
+    a pool worker's exception crosses to the parent by pickle, and one that
+    cannot be rebuilt there kills the pool's result thread, so the map waits
+    forever.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args), self.__dict__
+
+
+def _rebuild(cls: type, args: tuple) -> BernpairsError:
+    # BaseException.__new__ sets args (and so str()) without calling __init__
+    return cls.__new__(cls, *args)
 
 
 class NotInvertible(BernpairsError):

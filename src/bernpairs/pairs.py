@@ -288,9 +288,18 @@ def load_database(path: str) -> PairDatabase:
     return PairDatabase.load(path)
 
 
-def _pool_map(fn: Callable, work: Sequence, jobs: Optional[int], chunksize: int) -> List:
-    """fn over work, inline when jobs <= 1 or work is short, else in a pool of
-    jobs processes (None: all cores) that returns results in completion order.
+def _pool_map(fn: Callable, work: Sequence, jobs: Optional[int]) -> List:
+    """[fn(w) for w in work], in input order, inline or in a process pool.
+
+    The pool gets min(jobs, cores, len(work)) workers (jobs=None: all cores)
+    and runs inline when that is at most 1 or work is short. pool.map sends
+    work in order, in chunks of ceil(len/(4 workers)) items, so callers hand
+    it largest-first: the big items lead and the small ones fill in behind
+    them. Each chunk's result message wakes the parent's result thread; on
+    2 vCPUs, with both workers busy, that cost the parent about 0.5 ms of CPU
+    per message. Sieving the 301 primes below 2000 took 68-93 ms of parent
+    CPU in chunks of 1 item, 37-39 ms in chunks of 4 and 10-15 ms in
+    pool.map's 8 chunks of 38.
 
     Fewer than 16 items run inline: starting a pool costs tens of milliseconds
     and grows the parent's resident set, more than such a batch saves. On 2
@@ -305,17 +314,24 @@ def _pool_map(fn: Callable, work: Sequence, jobs: Optional[int], chunksize: int)
     `tables` rss_growth_mb rose from 0.71 to 0.84-0.91 MB. So they stay
     pooled.
     """
-    jobs = os.cpu_count() or 1 if jobs is None else jobs
-    if jobs <= 1 or len(work) < 16:
+    cores = os.cpu_count() or 1
+    workers = min(cores if jobs is None else jobs, cores, len(work))
+    if workers <= 1 or len(work) < 16:
         return [fn(w) for w in work]
-    with multiprocessing.Pool(processes=jobs) as pool:
-        return list(pool.imap_unordered(fn, work, chunksize=chunksize))
+    with multiprocessing.Pool(processes=workers) as pool:
+        return pool.map(fn, work)
 
 
 def _sieve_many(ps: Sequence[int], jobs: Optional[int]) -> Dict[int, List[int]]:
     """Zero indices for each prime in ps; dispatched largest-first because the
-    per-prime cost grows like p^2. Content is order-independent."""
-    return dict(_pool_map(_sieve_worker, sorted(ps, reverse=True), jobs, 4))
+    per-prime cost grows like p^2. Content is order-independent.
+
+    The largest prime's row size is checked before dispatch: pool.map reports
+    a worker's error only once every chunk is done."""
+    ps = sorted(ps, reverse=True)
+    if ps:
+        _kernels.check_row_size(ps[0])
+    return dict(_pool_map(_sieve_worker, ps, jobs))
 
 
 def build_database(max_p: int, jobs: Optional[int] = None) -> PairDatabase:
@@ -433,8 +449,9 @@ def _scan_worker(args: Tuple[int, int]) -> Tuple[int, int, Optional[int], str]:
 
 def scan_special_order2(db: PairDatabase, jobs: Optional[int] = None) -> ScanReport:
     """Lift every pair in db to order 2 and report the s_2 = s_1 - 1 hits."""
-    work = [(q.p, q.l) for q in db.all_pairs()]
-    rows = _pool_map(_scan_worker, work, jobs, 1)
+    # largest-first, like the sieve: a lift's cost grows with p
+    work = sorted(((q.p, q.l) for q in db.all_pairs()), reverse=True)
+    rows = _pool_map(_scan_worker, work, jobs)
     report = ScanReport(max_p=db.max_p)
     for p, l, s2, err in sorted(rows):
         pair = IrregularPair(p, l)

@@ -1,17 +1,29 @@
 """Irregular pairs: sieve, database, delta, digit lifting, order-2 scan."""
 
 import hashlib
+import multiprocessing
+import pickle
+import signal
+import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bernpairs import cli
 from bernpairs.arith import phi_prime_power, rational_mod
 from bernpairs.bernoulli import divided_bernoulli_mod_pk
 from bernpairs.errors import (
+    BernpairsError,
     DatabaseTooSmall,
+    DeltaZero,
     FormatError,
+    MixedModulus,
+    NotInvertible,
     NotIrregular,
+    NotStrongFriendly,
+    PoleAtIndex,
     ResourceLimit,
 )
 from bernpairs.pairs import (
@@ -221,7 +233,7 @@ def test_delta_rejects_regular_pair():
 
 
 def test_delta_nonzero_everywhere(db16000):
-    deltas = _pool_map(delta, list(db16000.all_pairs()), None, 4)
+    deltas = _pool_map(delta, sorted(db16000.all_pairs(), reverse=True), None)
     assert [d.pair for d in deltas if d.delta == 0] == []
 
 
@@ -349,7 +361,21 @@ def test_scan_order2(db400):
     assert [(op.p, op.digits) for op in report.min_pairs] == [(353, (186, 190))]
 
 
-def test_scan_small_batch_runs_inline(db200, monkeypatch):
+def test_scan_small_batch_runs_inline(db1000, db200, monkeypatch):
+    # 81 pairs start a pool of 2, which must agree with the inline scan
+    monkeypatch.setattr("bernpairs.pairs.os.cpu_count", lambda: 2)
+    started = []
+    real_pool = multiprocessing.Pool
+
+    def counted_pool(processes):
+        started.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr("bernpairs.pairs.multiprocessing.Pool", counted_pool)
+    assert len(db1000) == 81
+    assert scan_special_order2(db1000, jobs=2) == scan_special_order2(db1000, jobs=1)
+    assert started == [2]
+
     # fewer than 16 pairs: jobs=2 must not start a pool, and must agree with jobs=1
     assert len(db200) < 16
     expected = scan_special_order2(db200, jobs=1)
@@ -359,3 +385,111 @@ def test_scan_small_batch_runs_inline(db200, monkeypatch):
 
     monkeypatch.setattr("bernpairs.pairs.multiprocessing.Pool", no_pool)
     assert scan_special_order2(db200, jobs=2) == expected
+
+
+def _raise_delta_zero(_):
+    raise DeltaZero(37, 32)
+
+
+@contextmanager
+def _fails_after(seconds):
+    """Turn a hang into a test failure: SIGALRM raises in the main thread."""
+
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_errors_survive_pickle():
+    # a pooled worker's error reaches the parent by pickle
+    samples = [
+        BernpairsError("base"),
+        NotInvertible(6, 9, 3),
+        MixedModulus(7, 9),
+        PoleAtIndex(36, 37),
+        DeltaZero(37, 32),
+        ResourceLimit("too big", needed=5, limit=4),
+        FormatError(3, "bad row"),
+        DatabaseTooSmall(needed=200, have=160),
+        NotIrregular(41, "regular"),
+        NotStrongFriendly([IrregularPair(37, 32)], "no witness"),
+    ]
+    assert {type(e) for e in samples[1:]} == set(BernpairsError.__subclasses__())
+    for exc in samples:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
+
+
+def test_pool_map_reraises_worker_error(monkeypatch):
+    monkeypatch.setattr("bernpairs.pairs.os.cpu_count", lambda: 2)
+    with _fails_after(60), pytest.raises(DeltaZero) as exc:
+        _pool_map(_raise_delta_zero, list(range(16)), 2)
+    assert (exc.value.p, exc.value.l) == (37, 32)
+
+
+def test_pool_map_keeps_input_order(monkeypatch):
+    monkeypatch.setattr("bernpairs.pairs.os.cpu_count", lambda: 2)
+    work = list(range(40, 0, -1))
+    with _fails_after(60):
+        assert _pool_map(str, work, 2) == [str(w) for w in work]
+
+
+def test_pool_map_caps_workers(monkeypatch, tmp_path):
+    # a fake Pool records its size; no real process is started here
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return [fn(w) for w in work]
+
+    monkeypatch.setattr("bernpairs.pairs.multiprocessing.Pool", FakePool)
+    # (cores, jobs, items) -> workers started, None when inline
+    cases = [
+        ((8, 100000, 20), 8),
+        ((8, 3, 20), 3),
+        ((64, None, 20), 20),
+        ((4, None, 20), 4),
+        ((1, 4, 20), None),
+        ((8, 1, 20), None),
+        ((8, 4, 15), None),
+    ]
+    for (cores, jobs, n), want in cases:
+        monkeypatch.setattr("bernpairs.pairs.os.cpu_count", lambda: cores)
+        started.clear()
+        assert _pool_map(str, list(range(n)), jobs) == [str(i) for i in range(n)]
+        assert started == ([] if want is None else [want]), (cores, jobs, n)
+
+    monkeypatch.setattr("bernpairs.pairs.os.cpu_count", lambda: 2)
+    started.clear()
+    out = str(tmp_path / "db.txt")
+    assert cli.main(["sieve", "--max-p", "200", "--out", out, "--jobs", "100000"]) == 0
+    assert started == [2]
+
+
+def test_oversized_sieve_refused_before_dispatch(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an oversized sieve started a pool")
+
+    monkeypatch.setattr("bernpairs.pairs.multiprocessing.Pool", no_pool)
+    t0 = time.monotonic()
+    with pytest.raises(ResourceLimit, match="p=1699993"):
+        build_database(1_700_000, jobs=2)
+    assert time.monotonic() - t0 < 1
