@@ -1,9 +1,12 @@
 """Command line front end.
 
 Subcommands: sieve, pairs, delta, lift, a-value, exceptions, lambda, mn,
-ratio, verify. Human-readable results go to stdout, machine-readable rows
-behind --csv PATH. Exit codes: 0 success, 1 domain or file error (one
-stderr line, the error's type name and message), 2 usage error.
+ratio, verify. Every command that reads pairs takes the file `sieve` wrote
+as --db FILE (optional only for mn, which builds a small seed itself);
+--jobs exists only on the commands that sieve: sieve, mn and verify.
+Human-readable results go to stdout, machine-readable rows behind --csv
+PATH. Exit codes: 0 success, 1 domain or file error (one stderr line, the
+error's type name and message), 2 usage error.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ import math
 import sys
 from typing import Iterable, Optional, Sequence, Tuple
 
+from .arith import is_prime
 from .composite import lambda_composite, minimal_composite
 from .conjecture import NoSolution, a_value_prime_power, find_exceptions, verify_ratio
 from .errors import BernpairsError
 from .pairs import (
     IrregularPair,
-    PairDatabase,
     build_database,
     delta,
     lift,
@@ -58,12 +61,6 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[object]
         writer.writerows(rows)
 
 
-def _load_db(args: argparse.Namespace) -> PairDatabase:
-    if args.db is not None:
-        return load_database(args.db)
-    return build_database(args.max_p, jobs=args.jobs)
-
-
 def _cmd_sieve(args: argparse.Namespace) -> int:
     db = build_database(args.max_p, jobs=args.jobs)
     save_database(db, args.out)
@@ -72,8 +69,9 @@ def _cmd_sieve(args: argparse.Namespace) -> int:
 
 
 def _cmd_pairs(args: argparse.Namespace) -> int:
-    db = load_database(args.db)
-    rows = db.pairs_for(args.p)
+    if args.p < 5 or not is_prime(args.p):
+        raise ValueError(f"p must be a prime >= 5, got {args.p}")
+    rows = load_database(args.db).pairs_for(args.p)
     for q in rows:
         print(f"{q.p},{q.l}")
     if args.csv:
@@ -105,8 +103,7 @@ def _cmd_a_value(args: argparse.Namespace) -> int:
 
 
 def _cmd_exceptions(args: argparse.Namespace) -> int:
-    db = _load_db(args)
-    records = find_exceptions(db)
+    records = find_exceptions(load_database(args.db))
     for rec in records:
         print(
             f"({rec.pair.p},{rec.pair.l}) m={rec.m} "
@@ -131,7 +128,7 @@ def _cmd_exceptions(args: argparse.Namespace) -> int:
 
 
 def _cmd_lambda(args: argparse.Namespace) -> int:
-    res = lambda_composite(args.c, _load_db(args))
+    res = lambda_composite(args.c, load_database(args.db))
     line = f"L({args.c})=" + ("Infinity" if res.value == math.inf else str(res.value))
     if res.pairs:
         line += f" S={_set_str(res.pairs)}"
@@ -212,17 +209,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=_positive, default=1, help="prime-power exponent (default 1)")
     sp.add_argument("--db", required=True, help="database file")
 
-    sp = add("exceptions", _cmd_exceptions, "pairs whose candidate index fails the witness test", jobs=True)
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--db", help="database file")
-    group.add_argument("--max-p", type=_positive, help="build a database up to this bound")
+    sp = add("exceptions", _cmd_exceptions, "pairs whose candidate index fails the witness test")
+    sp.add_argument("--db", required=True, help="database file")
     sp.add_argument("--csv", help="also write rows to this CSV file")
 
-    sp = add("lambda", _cmd_lambda, "least index divisible by c, over all pair choices", jobs=True)
+    sp = add("lambda", _cmd_lambda, "least index divisible by c, over all pair choices")
     sp.add_argument("--c", type=_positive, required=True)
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--db", help="database file")
-    group.add_argument("--max-p", type=_positive, help="build a database up to this bound")
+    sp.add_argument("--db", required=True, help="database file")
 
     sp = add("mn", _cmd_mn, "minimum over n-prime composites of the least divisible index", jobs=True)
     sp.add_argument("--n", type=_positive, required=True)

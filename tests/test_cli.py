@@ -79,19 +79,23 @@ def test_mn_pinned_line(db_file, tmp_path):
     ]
 
 
-def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["lift", "--p", "37"])  # missing --l
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["no-such-command"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["ratio", "--m", "-4"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main([])
-    assert exc.value.code == 2
+def test_usage_errors_exit_2(monkeypatch):
+    # argparse refuses each before any file is read
+    monkeypatch.setattr(cli, "load_database", None)
+    for argv in (
+        ["lift", "--p", "37"],  # missing --l
+        ["no-such-command"],
+        ["ratio", "--m", "-4"],
+        [],
+        # a database comes only from --db, and only sieving commands take --jobs
+        ["exceptions", "--max-p", "6500"],
+        ["lambda", "--c", "2183", "--max-p", "160"],
+        ["exceptions", "--db", "x.txt", "--jobs", "2"],
+        ["exceptions"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_lambda_regular_prime_fails(db_file, capsys):
@@ -107,6 +111,10 @@ def test_domain_errors_exit_1(db_file, tmp_path, capsys):
     # shape errors surface as ValueError, same exit code
     assert cli.main(["delta", "--p", "35", "--l", "12"]) == 1
     assert capsys.readouterr().err.startswith("ValueError:")
+    # p that is not a prime >= 5, refused before the lookup
+    for p in ("4", "9"):
+        assert cli.main(["pairs", "--p", p, "--db", db_file(160)]) == 1
+        assert capsys.readouterr().err == f"ValueError: p must be a prime >= 5, got {p}\n"
     # query beyond database coverage
     assert cli.main(["pairs", "--p", "1000003", "--db", db_file(160)]) == 1
     assert capsys.readouterr().err.startswith("DatabaseTooSmall:")
