@@ -7,15 +7,10 @@ least index divisible by a composite via simultaneous congruences.
 """
 
 from .arith import (
-    Rational,
-    Residue,
     crt_pair,
     factorize,
-    gcd_lcm,
     integer_nth_root,
     is_prime,
-    mod_inverse,
-    phi_prime_power,
     primes_below,
 )
 from .bernoulli import (
@@ -43,7 +38,6 @@ from .conjecture import (
     AValueResult,
     ExceptionRecord,
     NoSolution,
-    a_value,
     a_value_prime_power,
     find_exceptions,
     verify_ratio,
@@ -53,8 +47,6 @@ from .errors import (
     DatabaseTooSmall,
     DeltaZero,
     FormatError,
-    MixedModulus,
-    NotInvertible,
     NotIrregular,
     NotStrongFriendly,
     PoleAtIndex,
@@ -91,21 +83,16 @@ __all__ = [
     "LIMITS",
     "LambdaResult",
     "Limits",
-    "MixedModulus",
     "MnResult",
     "NoSolution",
-    "NotInvertible",
     "NotIrregular",
     "NotStrongFriendly",
     "OrderedPair",
     "PairDatabase",
     "PoleAtIndex",
-    "Rational",
-    "Residue",
     "ResourceLimit",
     "ScanReport",
     "SearchLogEntry",
-    "a_value",
     "a_value_prime_power",
     "bernoulli_exact",
     "bernoulli_mod_p_all",
@@ -116,7 +103,6 @@ __all__ = [
     "divided_bernoulli_mod_pk",
     "factorize",
     "find_exceptions",
-    "gcd_lcm",
     "integer_nth_root",
     "is_friendly",
     "is_prime",
@@ -129,9 +115,7 @@ __all__ = [
     "lift_digits",
     "load_database",
     "minimal_composite",
-    "mod_inverse",
     "numerator_pair",
-    "phi_prime_power",
     "primes_below",
     "save_database",
     "scan_special_order2",

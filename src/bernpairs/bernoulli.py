@@ -21,8 +21,8 @@ Two routes, checked against each other in tests:
   with no power at all. B_n/n mod p^k then comes from L = k + v_p(n) + 1
   by dividing out p and n.
 
-The table of B_k mod p for one prime and all k comes from the sieve kernel
-in _kernels.
+Every result mod p^k is a plain int in [0, p^k). The table of B_k mod p for
+one prime and all k comes from the sieve kernel in _kernels.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from . import _kernels
-from .arith import Residue, is_prime
+from .arith import is_prime
 from .config import LIMITS
 from .errors import PoleAtIndex, ResourceLimit
 
@@ -86,12 +86,12 @@ def numerator_pair(m: int) -> Tuple[int, int]:
     return abs((b / m).numerator), abs((b / (m * (m - 1))).numerator)
 
 
-def bernoulli_mod_p_all(p: int) -> Dict[int, Residue]:
+def bernoulli_mod_p_all(p: int) -> Dict[int, int]:
     """{even k in [2, p-3]: B_k mod p} for an odd prime p >= 5."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     row = _kernels.bern_even_residues(p)
-    return {k: Residue(row[k], p) for k in range(2, p - 2, 2)}
+    return {k: row[k] for k in range(2, p - 2, 2)}
 
 
 def _vp(x: int, p: int) -> int:
@@ -156,8 +156,8 @@ def _p_bernoulli(j: int, p: int, L: int, memo: Dict[Tuple[int, int], int]) -> in
     return memo[key]
 
 
-def divided_bernoulli_mod_pk(n: int, p: int, k: int) -> Residue:
-    """B_n/n mod p^k for even n >= 2, odd prime p, k >= 1.
+def divided_bernoulli_mod_pk(n: int, p: int, k: int) -> int:
+    """B_n/n mod p^k, in [0, p^k), for even n >= 2, odd prime p, k >= 1.
 
     Raises PoleAtIndex when (p-1) | n (the value is not p-integral there).
     Computed from p*B_n mod p^(k + v_p(n) + 1) by Faulhaber's identity.
@@ -177,4 +177,4 @@ def divided_bernoulli_mod_pk(n: int, p: int, k: int) -> Residue:
             f"p*B_{n} mod {p}^{k + v + 1} lost p-integrality of B_{n}/{n}"
         )
     pk = p**k
-    return Residue(x // p ** (v + 1) * pow(n // p**v, -1, pk) % pk, pk)
+    return x // p ** (v + 1) * pow(n // p**v, -1, pk) % pk

@@ -276,7 +276,7 @@ def minimal_composite(
             while m < best:
                 for q, _e in factorize((m - 1) // prod):
                     k = m % (q - 1)
-                    if q > prefix[-1].p and k and divided_bernoulli_mod_pk(k, q, 1).is_zero():
+                    if q > prefix[-1].p and k and divided_bernoulli_mod_pk(k, q, 1) == 0:
                         best = m
                         best_set = prefix + (IrregularPair(q, k),)
                         log.append(SearchLogEntry(best_set, m, m, integer_nth_root(m, n)))

@@ -74,24 +74,14 @@ def _witnesses(
     return tuple(sorted(out))
 
 
-def a_value(pair: IrregularPair, db: PairDatabase) -> AValueResult:
-    """The candidate minimal index for a pair, with its witness check.
-
-    db must cover the prime factors of l-1 (all below p, so any database
-    containing the pair's own prime suffices).
-    """
-    m = (pair.l - 1) * pair.p + 1
-    wits = _witnesses(pair.l, pair.p, 1, db)
-    return AValueResult(pair, 1, m, not wits, wits)
-
-
 def a_value_prime_power(
     pair: IrregularPair, r: int, db: PairDatabase
 ) -> Union[AValueResult, NoSolution]:
     """The p^r candidate, demanding lifting digits s_2 = ... = s_r = l - 1.
 
-    Digits are consumed lazily and checked as they arrive, so the first
-    deviation short-circuits without paying for deeper lifts.
+    r = 1 lifts nothing. Digits are consumed lazily and checked as they
+    arrive, so the first deviation short-circuits without paying for deeper
+    lifts. db must cover the prime factors of l-1, which lie below p.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
@@ -142,7 +132,7 @@ def verify_ratio(m: int) -> int:
     for q, e in factorize(m - 1):
         if m % (q - 1) == 0:
             continue
-        x = divided_bernoulli_mod_pk(m, q, e).value
+        x = divided_bernoulli_mod_pk(m, q, e)
         k = 0
         while k < e and x % q == 0:
             x //= q

@@ -26,25 +26,6 @@ def _rebuild(cls: type, args: tuple) -> BernpairsError:
     return cls.__new__(cls, *args)
 
 
-class NotInvertible(BernpairsError):
-    """Modular inverse does not exist; carries the witnessing gcd."""
-
-    def __init__(self, value: int, modulus: int, gcd: int):
-        self.value = value
-        self.modulus = modulus
-        self.gcd = gcd
-        super().__init__(f"{value} is not invertible mod {modulus} (gcd={gcd})")
-
-
-class MixedModulus(BernpairsError):
-    """Arithmetic attempted between residues with different moduli."""
-
-    def __init__(self, left: int, right: int):
-        self.left = left
-        self.right = right
-        super().__init__(f"residue moduli differ: {left} vs {right}")
-
-
 class PoleAtIndex(BernpairsError):
     """B_n/n has a pole mod p: (p-1) | n, so p divides the denominator."""
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _kernels
-from .arith import is_prime, phi_prime_power
+from .arith import is_prime
 from .bernoulli import divided_bernoulli_mod_pk
 from .config import LIMITS
 from .errors import (
@@ -71,9 +71,6 @@ class DeltaValue:
     pair: IrregularPair
     delta: int  # in [0, p)
 
-    def is_zero(self) -> bool:
-        return self.delta == 0
-
 
 @dataclass(frozen=True)
 class OrderedPair:
@@ -83,6 +80,8 @@ class OrderedPair:
     digits: Tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not self.digits:
+            raise ValueError("need at least one digit")
         IrregularPair(self.p, self.digits[0])
         for s in self.digits[1:]:
             if not 0 <= s < self.p:
@@ -99,8 +98,9 @@ class OrderedPair:
     @property
     def index(self) -> int:
         """The order-n index l_n = sum_v s_v phi(p^(v-1)), phi(1) = 1."""
+        p = self.p
         return self.digits[0] + sum(
-            s * phi_prime_power(self.p, v) for v, s in enumerate(self.digits[1:], 1)
+            s * p ** (v - 1) * (p - 1) for v, s in enumerate(self.digits[1:], 1)
         )
 
     def __str__(self) -> str:
@@ -119,15 +119,14 @@ def _sieve_worker(p: int) -> Tuple[int, List[int]]:
     return p, [k for k in range(2, p - 2, 2) if row[k] == 0]
 
 
-# v1 carries only the bound; v2 adds the row count and a digest of the body
 _HEADER = re.compile(
-    r"# bernpairs-db v(?P<version>[12]) max_p=(?P<max_p>\d+)"
-    r"(?: rows=(?P<rows>\d+) sha256=(?P<sha256>[0-9a-f]{64}))?"
+    r"# bernpairs-db v2 max_p=(?P<max_p>\d+) rows=(?P<rows>\d+)"
+    r" sha256=(?P<sha256>[0-9a-f]{64})"
 )
 
 
 def _body_digest(lines: Sequence[str]) -> str:
-    """SHA-256 of the body lines, each ended by a newline, as save writes them."""
+    """SHA-256 of the body lines, each ended by a newline, as save_database writes them."""
     return sha256("".join(f"{x}\n" for x in lines).encode("ascii")).hexdigest()
 
 
@@ -219,73 +218,67 @@ class PairDatabase:
             {p: rows for p, rows in self._entries.items() if p < new_max_p},
         )
 
-    def save(self, path: str) -> None:
-        # third field always present, empty when the delta was never computed
-        rows = [
-            f"{p},{l}," if d is None else f"{p},{l},{d}"
-            for p in sorted(self._entries)
-            for l, d in self._entries[p]
-        ]
-        head = (
-            f"# bernpairs-db v2 max_p={self.max_p} rows={len(rows)} "
-            f"sha256={_body_digest(rows)}"
-        )
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join([head] + rows) + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "PairDatabase":
-        with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read().splitlines()
-        if not raw:
-            raise FormatError(1, "empty file, expected a bernpairs-db header")
-        head = _HEADER.fullmatch(raw[0].strip())
-        if not head or (head["version"] == "2") != (head["rows"] is not None):
-            raise FormatError(1, f"bad header {raw[0]!r}")
-        max_p = int(head["max_p"])
-        entries: Dict[int, List[Tuple[int, Optional[int]]]] = {}
-        seen = set()
-        for lineno, line in enumerate(raw[1:], start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) == 3 and parts[2] == "":
-                parts = parts[:2]  # empty delta field
-            if len(parts) not in (2, 3) or not all(
-                q.isdigit() for q in parts
-            ):
-                raise FormatError(lineno, f"expected 'p,l[,delta]', got {line!r}")
-            p, l = int(parts[0]), int(parts[1])
-            d = int(parts[2]) if len(parts) == 3 else None
-            try:
-                IrregularPair(p, l)
-            except ValueError as exc:
-                raise FormatError(lineno, str(exc)) from None
-            if p >= max_p:
-                raise FormatError(lineno, f"prime {p} not below max_p={max_p}")
-            if d is not None and not 0 <= d < p:
-                raise FormatError(lineno, f"delta {d} out of range for p={p}")
-            if (p, l) in seen:
-                raise FormatError(lineno, f"duplicate pair ({p},{l})")
-            seen.add((p, l))
-            entries.setdefault(p, []).append((l, d))
-        if head["rows"] is not None:
-            if len(seen) != int(head["rows"]):
-                raise FormatError(
-                    1, f"header promises {head['rows']} rows, the body holds {len(seen)}"
-                )
-            if _body_digest(raw[1:]) != head["sha256"]:
-                raise FormatError(1, "body does not match the header's sha256")
-        return cls(max_p, entries)
-
 
 def save_database(db: PairDatabase, path: str) -> None:
-    db.save(path)
+    """Write db as a v2 header (bound, row count, body digest) and one p,l,delta line per pair."""
+    # third field always present, empty when the delta was never computed
+    rows = [
+        f"{p},{l}," if d is None else f"{p},{l},{d}"
+        for p in sorted(db._entries)
+        for l, d in db._entries[p]
+    ]
+    head = (
+        f"# bernpairs-db v2 max_p={db.max_p} rows={len(rows)} "
+        f"sha256={_body_digest(rows)}"
+    )
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join([head] + rows) + "\n")
 
 
 def load_database(path: str) -> PairDatabase:
-    return PairDatabase.load(path)
+    """Read a save_database file; FormatError names the first bad line, 1 for the header."""
+    with open(path, "r", encoding="ascii") as fh:
+        raw = fh.read().splitlines()
+    if not raw:
+        raise FormatError(1, "empty file, expected a bernpairs-db header")
+    head = _HEADER.fullmatch(raw[0].strip())
+    if not head:  # v1 included: it has no row count or digest to check
+        raise FormatError(
+            1, f"expected a v2 header, got {raw[0]!r}; rewrite the file with `bernpairs sieve`"
+        )
+    max_p = int(head["max_p"])
+    entries: Dict[int, List[Tuple[int, Optional[int]]]] = {}
+    seen = set()
+    for lineno, line in enumerate(raw[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) == 3 and parts[2] == "":
+            parts = parts[:2]  # empty delta field
+        if len(parts) not in (2, 3) or not all(q.isdigit() for q in parts):
+            raise FormatError(lineno, f"expected 'p,l[,delta]', got {line!r}")
+        p, l = int(parts[0]), int(parts[1])
+        d = int(parts[2]) if len(parts) == 3 else None
+        try:
+            IrregularPair(p, l)
+        except ValueError as exc:
+            raise FormatError(lineno, str(exc)) from None
+        if p >= max_p:
+            raise FormatError(lineno, f"prime {p} not below max_p={max_p}")
+        if d is not None and not 0 <= d < p:
+            raise FormatError(lineno, f"delta {d} out of range for p={p}")
+        if (p, l) in seen:
+            raise FormatError(lineno, f"duplicate pair ({p},{l})")
+        seen.add((p, l))
+        entries.setdefault(p, []).append((l, d))
+    if len(seen) != int(head["rows"]):
+        raise FormatError(
+            1, f"header promises {head['rows']} rows, the body holds {len(seen)}"
+        )
+    if _body_digest(raw[1:]) != head["sha256"]:
+        raise FormatError(1, "body does not match the header's sha256")
+    return PairDatabase(max_p, entries)
 
 
 def _pool_map(fn: Callable, work: Sequence, jobs: Optional[int]) -> List:
@@ -352,10 +345,10 @@ def build_database(max_p: int, jobs: Optional[int] = None) -> PairDatabase:
 def _residue_and_delta(pair: IrregularPair) -> Tuple[int, int]:
     """(B_l/l mod p^2, delta), so that a lift reuses the residue delta needs."""
     p, l = pair.p, pair.l
-    w0 = divided_bernoulli_mod_pk(l, p, 2).value
+    w0 = divided_bernoulli_mod_pk(l, p, 2)
     if w0 % p:
         raise NotIrregular(p, f"B_{l}/{l} is nonzero mod {p}")
-    w1 = divided_bernoulli_mod_pk(l + (p - 1), p, 2).value
+    w1 = divided_bernoulli_mod_pk(l + (p - 1), p, 2)
     diff = (w1 - w0) % (p * p)
     if diff % p:
         raise AssertionError("Kummer congruence violated; kernel bug")
@@ -396,12 +389,12 @@ def lift_digits(pair: IrregularPair) -> Iterator[int]:
             )
         pj = p**j
         if j > 1:  # at j = 1, w is B_l/l mod p^2 from the slope already
-            w = divided_bernoulli_mod_pk(l_j, p, j + 1).value
+            w = divided_bernoulli_mod_pk(l_j, p, j + 1)
         if w % pj:
             raise AssertionError(f"order-{j} index {l_j} lost divisibility")
         s = -(w // pj) * dinv % p
-        l_next = l_j + s * phi_prime_power(p, j)
-        if divided_bernoulli_mod_pk(l_next, p, j + 1).value != 0:
+        l_next = l_j + s * p ** (j - 1) * (p - 1)
+        if divided_bernoulli_mod_pk(l_next, p, j + 1) != 0:
             raise AssertionError(
                 f"solved digit {s} fails the order-{j + 1} congruence for {pair}"
             )

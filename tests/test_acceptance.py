@@ -32,7 +32,7 @@ from bernpairs.composite import (
     lambda_prime,
 )
 from bernpairs.conjecture import verify_ratio
-from bernpairs.pairs import build_database, lift
+from bernpairs.pairs import build_database, lift, load_database, save_database
 from bernpairs.verify import CHECKS, run_check
 
 from test_bernoulli import exact_divided
@@ -89,10 +89,6 @@ def test_criterion_2_exact_ground_truth(verify_ctx):
     )
 
 
-def _divided(n, p, k):
-    return divided_bernoulli_mod_pk(n, p, k).value
-
-
 def _suite_kummer_congruences():
     rng = random.Random(37)
     ps = [p for p in primes_below(51) if p >= 5]
@@ -104,7 +100,7 @@ def _suite_kummer_congruences():
         t = rng.randint(1, (1180 - n) // (p - 1))
         n2 = n + t * (p - 1)
         # cross-route: Faulhaber at n, exact rationals at the shifted index
-        assert _divided(n, p, 1) == exact_divided(n2, p, 1)
+        assert divided_bernoulli_mod_pk(n, p, 1) == exact_divided(n2, p, 1)
     for _ in range(20):
         p = rng.choice([5, 7, 11, 13])
         phi = p * (p - 1)
@@ -113,7 +109,7 @@ def _suite_kummer_congruences():
             continue
         n2 = n + phi
         pk = p * p
-        w = _divided(n, p, 2)
+        w = divided_bernoulli_mod_pk(n, p, 2)
         w2 = exact_divided(n2, p, 2)
         e = (1 - pow(p, n - 1, pk)) % pk
         e2 = (1 - pow(p, n2 - 1, pk)) % pk
@@ -125,12 +121,12 @@ def _suite_progression_divisibility(db200, db400):
     # is an independent divisibility fact
     for q in db200.all_pairs():
         for k in range(4):
-            assert _divided(q.l + k * (q.p - 1), q.p, 1) == 0
+            assert divided_bernoulli_mod_pk(q.l + k * (q.p - 1), q.p, 1) == 0
     for q in db400.all_pairs():
         l2 = lift(q, 2).index
         phi2 = q.p * (q.p - 1)
         for k in (0, 1):
-            assert _divided(l2 + k * phi2, q.p, 2) == 0
+            assert divided_bernoulli_mod_pk(l2 + k * phi2, q.p, 2) == 0
 
 
 def _suite_von_staudt_clausen():
@@ -193,10 +189,10 @@ def _suite_database_roundtrip(tmp_dir):
     assert one == two
     f1 = tmp_dir / "one.txt"
     f2 = tmp_dir / "two.txt"
-    one.save(str(f1))
-    two.save(str(f2))
+    save_database(one, str(f1))
+    save_database(two, str(f2))
     assert f1.read_bytes() == f2.read_bytes()
-    assert one.load(str(f1)) == one
+    assert load_database(str(f1)) == one
 
 
 def test_criterion_8_property_suites(tmp_path, db160, db200, db400):

@@ -1,7 +1,6 @@
 """Integer and rational arithmetic helpers."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,52 +8,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernpairs.arith import (
-    Rational,
-    Residue,
     crt_pair,
     factorize,
-    gcd_lcm,
     integer_nth_root,
     is_prime,
-    mod_inverse,
-    phi_prime_power,
     primes_below,
+    rational_mod,
 )
-from bernpairs.errors import MixedModulus, NotInvertible
 
 
-def test_mod_inverse_examples():
-    assert mod_inverse(1, 7).value == 1
-    assert mod_inverse(2, 5).value == 3
-    # brute-force checked: 12 * 34 == 408 == 11 * 37 + 1
-    assert mod_inverse(12, 37).value == 34
+def test_rational_mod_examples():
+    # brute-force checked: 12 * 34 == 408 == 11 * 37 + 1, and 2 * 2 ≡ -1 (mod 5)
+    assert rational_mod(Fraction(1, 12), 37) == 34
+    assert rational_mod(Fraction(-1, 2), 5) == 2
+    assert rational_mod(Fraction(5), 3) == 2
+    with pytest.raises(ValueError):
+        rational_mod(Fraction(1, 6), 9)
 
 
-@given(st.integers(2, 10**9), st.integers(1, 10**9))
+@given(st.integers(-(10**9), 10**9), st.integers(1, 10**9), st.integers(2, 10**9))
 @settings(max_examples=200, deadline=None)
-def test_mod_inverse_property(m, a):
-    if math.gcd(a, m) != 1:
-        with pytest.raises(NotInvertible):
-            mod_inverse(a, m)
+def test_rational_mod_property(n, d, m):
+    q = Fraction(n, d)
+    if math.gcd(q.denominator, m) != 1:
+        with pytest.raises(ValueError):
+            rational_mod(q, m)
     else:
-        inv = mod_inverse(a, m).value
-        assert 0 <= inv < m
-        assert a * inv % m == 1
-
-
-def test_gcd_lcm_examples():
-    assert gcd_lcm(1332, 3422) == (2, 2279052)
-    assert gcd_lcm(36, 58) == (2, 1044)
-    assert gcd_lcm(7, 7) == (7, 7)
-
-
-@given(st.integers(1, 10**12), st.integers(1, 10**12))
-@settings(max_examples=200, deadline=None)
-def test_gcd_lcm_product(a, b):
-    g, l = gcd_lcm(a, b)
-    assert g * l == a * b
-    assert a % g == 0 and b % g == 0
-    assert l % a == 0 and l % b == 0
+        r = rational_mod(q, m)
+        assert 0 <= r < m
+        assert (r * q.denominator - q.numerator) % m == 0
 
 
 def test_factorize_examples():
@@ -106,12 +88,6 @@ def test_integer_nth_root_beyond_float_range():
             assert integer_nth_root(k**n + 1, n) == k
 
 
-def test_phi_prime_power():
-    assert phi_prime_power(37, 1) == 36
-    assert phi_prime_power(37, 2) == 37 * 36
-    assert phi_prime_power(5, 3) == 100
-
-
 def test_crt_pair_examples():
     r, m = crt_pair(2, 4, 4, 6)
     assert m == 12
@@ -138,58 +114,3 @@ def test_crt_pair_brute_force(m1, m2, a1, a2):
         r, m = got
         assert m == lcm
         assert hits == [r]
-
-
-def _naive_add(a, b):
-    # unreduced pair arithmetic as an oracle
-    return (a[0] * b[1] + b[0] * a[1], a[1] * b[1])
-
-
-def _naive_mul(a, b):
-    return (a[0] * b[0], a[1] * b[1])
-
-
-def test_rational_agrees_with_naive_pairs():
-    rng = random.Random(20260816)
-    for _ in range(1000):
-        n1, n2 = rng.randint(-999, 999), rng.randint(-999, 999)
-        d1, d2 = rng.randint(1, 999), rng.randint(1, 999)
-        x, y = Rational(n1, d1), Rational(n2, d2)
-        s = x + y
-        p = x * y
-        ns, ds = _naive_add((n1, d1), (n2, d2))
-        np_, dp = _naive_mul((n1, d1), (n2, d2))
-        assert s.numerator * ds == ns * s.denominator
-        assert p.numerator * dp == np_ * p.denominator
-
-
-def test_rational_is_exact_fraction():
-    assert Rational(1, 3) + Rational(1, 6) == Fraction(1, 2)
-    assert Rational(-691, 2730).denominator == 2730
-
-
-def test_residue_arithmetic():
-    a = Residue(5, 13)
-    b = Residue(11, 13)
-    assert (a + b).value == 3
-    assert (a * b).value == 55 % 13
-    assert (a - b).value == (5 - 11) % 13
-    assert (a**3).value == 125 % 13
-    assert (a + 1).value == 6
-    assert (3 * a).value == 2
-
-
-def test_residue_mixed_modulus():
-    a = Residue(5, 13)
-    c = Residue(5, 17)
-    with pytest.raises(MixedModulus):
-        a + c
-    with pytest.raises(MixedModulus):
-        a * c
-
-
-def test_residue_inverse():
-    a = Residue(12, 37)
-    assert a.inverse().value == 34
-    with pytest.raises(NotInvertible):
-        Residue(6, 9).inverse()

@@ -3,7 +3,7 @@
 The `cli/*` rows of the reference table pin the stdout of every other
 successful command (tests/test_verify.py runs them). Here: the CSV side
 files, the `sieve` round trip, exit codes 1 and 2 with their stderr, the
-`verify` wiring and the import probe.
+`verify` wiring, the import probe and the export list.
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ import pytest
 
 import bernpairs
 from bernpairs import cli, verify
-from bernpairs.pairs import build_database, load_database
+from bernpairs.pairs import build_database, load_database, save_database
 from bernpairs.verify import MN2_SEARCH
 
 
@@ -26,7 +26,7 @@ def db_file(tmp_path, db16000):
 
     def save(max_p):
         path = tmp_path / f"db{max_p}.txt"
-        db16000.restrict(max_p).save(str(path))
+        save_database(db16000.restrict(max_p), str(path))
         return str(path)
 
     return save
@@ -148,6 +148,13 @@ def test_verify_quick(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(rf"PASS joint-index/37-59 {seconds}", lines[0])
     assert lines[1:] == ["1/1 checks passed"]
+
+
+def test_public_names_resolve_once():
+    # every exported name exists, and none is listed twice
+    missing = [name for name in bernpairs.__all__ if not hasattr(bernpairs, name)]
+    assert missing == []
+    assert len(set(bernpairs.__all__)) == len(bernpairs.__all__)
 
 
 def test_library_import_leaves_out_front_ends():

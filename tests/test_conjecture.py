@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernpairs.composite import lambda_prime
-from bernpairs.conjecture import a_value, a_value_prime_power, find_exceptions, verify_ratio
+from bernpairs.conjecture import (
+    AValueResult,
+    a_value_prime_power,
+    find_exceptions,
+    verify_ratio,
+)
 from bernpairs.pairs import IrregularPair, OrderedPair
 from bernpairs.verify import EXCEPTION_ROWS
 
@@ -32,7 +37,7 @@ def test_minimal_ratio_index_by_brute_force(db400):
 
 
 def test_a_value_examples(db160):
-    res = a_value(IrregularPair(157, 62), db160)
+    res = a_value_prime_power(IrregularPair(157, 62), 1, db160)
     assert res.m == 61 * 157 + 1 == 9578
     assert res.valid
 
@@ -40,14 +45,14 @@ def test_a_value_examples(db160):
 def test_a_value_candidate_congruences(db1000):
     # m = (l-1)p + 1 always satisfies p | m-1 and m ≡ l (mod p-1)
     for pair in db1000.all_pairs():
-        res = a_value(pair, db1000)
+        res = a_value_prime_power(pair, 1, db1000)
         assert res.m == (pair.l - 1) * pair.p + 1
         assert (res.m - 1) % pair.p == 0
         assert res.m % (pair.p - 1) == pair.l % (pair.p - 1)
 
 
 def test_a_value_exception_row(db6500):
-    res = a_value(IrregularPair(6449, 4884), db6500)
+    res = a_value_prime_power(IrregularPair(6449, 4884), 1, db6500)
     assert res.m == 31490468
     assert not res.valid
     assert res.witnesses == ((257, 164),)
@@ -70,10 +75,11 @@ def test_find_exceptions_none_below_first(db6500):
     assert find_exceptions(db6500.restrict(6449)) == []
 
 
-def test_prime_power_consistency_with_r1(db160):
-    base = a_value(IrregularPair(37, 32), db160)
+def test_prime_power_consistency_with_r1(db160, monkeypatch):
+    # r = 1 is the plain candidate (l-1)p + 1: no lifting digit is asked for
+    monkeypatch.setattr("bernpairs.conjecture.lift_digits", None)
     pow1 = a_value_prime_power(IrregularPair(37, 32), 1, db160)
-    assert pow1 == base
+    assert pow1 == AValueResult(IrregularPair(37, 32), 1, 31 * 37 + 1, True, ())
 
 
 def test_prime_power_validation(db160):
