@@ -22,6 +22,7 @@ from .composite import lambda_composite, minimal_composite
 from .conjecture import NoSolution, a_value_prime_power, find_exceptions, verify_ratio
 from .errors import BernpairsError
 from .pairs import (
+    POOL_MIN_SECONDS,
     IrregularPair,
     build_database,
     delta,
@@ -181,7 +182,10 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--jobs",
                 type=_positive,
                 default=None,
-                help="worker processes, at most one per core (default: all cores)",
+                help=(
+                    "worker processes, at most one per core (default: all cores); a batch"
+                    f" estimated under {POOL_MIN_SECONDS} s runs inline whatever this says"
+                ),
             )
         return sp
 

@@ -21,7 +21,7 @@ import multiprocessing
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import _kernels
 from .arith import is_prime
@@ -281,35 +281,49 @@ def load_database(path: str) -> PairDatabase:
     return PairDatabase(max_p, entries)
 
 
-def _pool_map(fn: Callable, work: Sequence, jobs: Optional[int]) -> List:
+# A batch whose estimated inline seconds stay below this runs inline (see
+# _pool_map)
+POOL_MIN_SECONDS = 0.25
+
+
+def _row_seconds(p: int) -> float:
+    """Estimated inline seconds of one sieve row. Fitted to the rows below
+    10000 timed largest-first in fresh processes (2 vCPUs): the sums below
+    2000, 4000 and 10000 are 0.101, 0.436 and 3.60 s, against 0.098, 0.415
+    and 3.69 s measured."""
+    return 3e-7 * p + 5e-11 * p * p
+
+
+def _lift_seconds(p: int) -> float:
+    """Estimated inline seconds of one order-2 lift or delta, fitted like
+    _row_seconds to the 421 lifts below 6500: 2.42 s against 2.35 s."""
+    return 1.9e-6 * p
+
+
+def _pool_map(
+    fn: Callable, work: Sequence, jobs: Optional[int], seconds: Callable[[Any], float]
+) -> List:
     """[fn(w) for w in work], in input order, inline or in a process pool.
 
-    The pool gets min(jobs, cores, len(work)) workers (jobs=None: all cores)
-    and runs inline when that is at most 1 or work is short. pool.map sends
-    work in order, in chunks of ceil(len/(4 workers)) items, so callers hand
-    it largest-first: the big items lead and the small ones fill in behind
-    them. Each chunk's result message wakes the parent's result thread; on
-    2 vCPUs, with both workers busy, that cost the parent about 0.5 ms of CPU
-    per message. Sieving the 301 primes below 2000 took 68-93 ms of parent
-    CPU in chunks of 1 item, 37-39 ms in chunks of 4 and 10-15 ms in
-    pool.map's 8 chunks of 38.
+    seconds(w) estimates w's inline time. The batch pools only when the sum
+    reaches POOL_MIN_SECONDS and min(jobs, cores, len(work)) > 1 (jobs=None:
+    all cores). Fresh processes on 2 vCPUs, inline against 2 workers, with
+    the estimate in brackets: build_database(2000) [0.10 s] took 101-172 ms
+    against 74-155 ms, 3000 [0.24 s] 225-280 against 144-318 ms, 4000
+    [0.44 s] 428-701 against 252-441 ms, 6500 [1.30 s] 1.41-1.75 against
+    0.71-0.96 s; the order-2 scan below 1000 [0.08 s] 42-67 against 52-68 ms.
+    So a pool starts to win wall time near 0.1 s. The threshold sits above
+    that: below it a pool saves under 0.1 s but forks workers, grows the
+    parent's resident set and, at 3000, spent 30-60% more CPU in all.
 
-    Fewer than 16 items run inline: starting a pool costs tens of milliseconds
-    and grows the parent's resident set, more than such a batch saves. On 2
-    vCPUs the order-2 scan of the 9 pairs below 200 took 0.007-0.016 s inline
-    against 0.066-0.10 s pooled. Larger batches keep the pool: the 81 pairs
-    below 1000 scan in 0.29-0.32 s pooled against 0.39 s inline, and
-    build_database(6500) takes 1.2-1.3 s against 2.1-2.3 s; at 2000 the two
-    are about even (0.14-0.30 s against 0.17-0.19 s). The 35-prime seed
-    batch and the 29-prime gap batch of the M_2 search run about 0.03 s
-    faster inline, but then the parent's first sieve rows fault in numpy
-    code pages that otherwise only the workers touch: the benchmark's
-    `tables` rss_growth_mb rose from 0.71 to 0.84-0.91 MB. So they stay
-    pooled.
+    pool.map sends work in order, in chunks of ceil(len/(4 workers)) items,
+    so callers hand it largest-first. Each chunk's result message wakes the
+    parent's result thread: build_database(6500) cost the parent 77-122 ms
+    of CPU in chunks of 1 item and 16-23 ms in pool.map's 8 chunks of 105.
     """
     cores = os.cpu_count() or 1
     workers = min(cores if jobs is None else jobs, cores, len(work))
-    if workers <= 1 or len(work) < 16:
+    if workers <= 1 or sum(map(seconds, work)) < POOL_MIN_SECONDS:
         return [fn(w) for w in work]
     with multiprocessing.Pool(processes=workers) as pool:
         return pool.map(fn, work)
@@ -324,16 +338,23 @@ def _sieve_many(ps: Sequence[int], jobs: Optional[int]) -> Dict[int, List[int]]:
     ps = sorted(ps, reverse=True)
     if ps:
         _kernels.check_row_size(ps[0])
-    return dict(_pool_map(_sieve_worker, ps, jobs))
+    return dict(_pool_map(_sieve_worker, ps, jobs, _row_seconds))
 
 
 def build_database(max_p: int, jobs: Optional[int] = None) -> PairDatabase:
     """Sieve every prime 5 <= p < max_p. jobs=None uses all cores, 1 is inline.
 
-    Content is deterministic and independent of jobs.
+    Content is deterministic and independent of jobs. The largest prime's row
+    size is checked before the primes below max_p are listed, which takes
+    max_p bytes.
     """
     from .arith import primes_below
 
+    top = max_p - 1
+    while top >= 5 and not is_prime(top):
+        top -= 1
+    if top >= 5:
+        _kernels.check_row_size(top)
     ps = [p for p in primes_below(max_p) if p >= 5]
     results = _sieve_many(ps, jobs)
     entries = {
@@ -444,7 +465,7 @@ def scan_special_order2(db: PairDatabase, jobs: Optional[int] = None) -> ScanRep
     """Lift every pair in db to order 2 and report the s_2 = s_1 - 1 hits."""
     # largest-first, like the sieve: a lift's cost grows with p
     work = sorted(((q.p, q.l) for q in db.all_pairs()), reverse=True)
-    rows = _pool_map(_scan_worker, work, jobs)
+    rows = _pool_map(_scan_worker, work, jobs, lambda w: _lift_seconds(w[0]))
     report = ScanReport(max_p=db.max_p)
     for p, l, s2, err in sorted(rows):
         pair = IrregularPair(p, l)

@@ -2,8 +2,11 @@
 
 import hashlib
 import multiprocessing
+import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bernpairs import cli
-from bernpairs.arith import rational_mod
+from bernpairs.arith import primes_below, rational_mod
 from bernpairs.bernoulli import divided_bernoulli_mod_pk
 from bernpairs.errors import (
     BernpairsError,
@@ -25,10 +28,13 @@ from bernpairs.errors import (
     ResourceLimit,
 )
 from bernpairs.pairs import (
+    POOL_MIN_SECONDS,
     IrregularPair,
     OrderedPair,
     PairDatabase,
+    _lift_seconds,
     _pool_map,
+    _row_seconds,
     build_database,
     delta,
     lift,
@@ -242,7 +248,8 @@ def test_delta_rejects_regular_pair():
 
 
 def test_delta_nonzero_everywhere(db16000):
-    deltas = _pool_map(delta, sorted(db16000.all_pairs(), reverse=True), None)
+    work = sorted(db16000.all_pairs(), reverse=True)
+    deltas = _pool_map(delta, work, None, lambda q: _lift_seconds(q.p))
     assert [d.pair for d in deltas if d.delta == 0] == []
 
 
@@ -376,8 +383,9 @@ def test_scan_order2(db400):
     assert [(op.p, op.digits) for op in report.min_pairs] == [(353, (186, 190))]
 
 
-def test_scan_small_batch_runs_inline(db1000, db200, monkeypatch):
-    # 81 pairs start a pool of 2, which must agree with the inline scan
+@pytest.fixture
+def real_pool_sizes(monkeypatch):
+    """Real pools on a 2-core view of the host; the list records their sizes."""
     monkeypatch.setattr("bernpairs.pairs.os.cpu_count", lambda: 2)
     started = []
     real_pool = multiprocessing.Pool
@@ -387,19 +395,45 @@ def test_scan_small_batch_runs_inline(db1000, db200, monkeypatch):
         return real_pool(processes)
 
     monkeypatch.setattr("bernpairs.pairs.multiprocessing.Pool", counted_pool)
-    assert len(db1000) == 81
+    return started
+
+
+def test_scan_small_batch_runs_inline(db16000, db1000, real_pool_sizes):
+    # the 155 pairs below 2000 estimate over the threshold and start a pool
+    # of 2, which must agree with the inline scan
+    db2000 = db16000.restrict(2000)
+    assert sum(_lift_seconds(q.p) for q in db2000.all_pairs()) >= POOL_MIN_SECONDS
+    assert scan_special_order2(db2000, jobs=2) == scan_special_order2(db2000, jobs=1)
+    assert real_pool_sizes == [2]
+
+    # the 81 pairs below 1000 estimate under it: jobs=2 runs them inline
+    real_pool_sizes.clear()
+    assert sum(_lift_seconds(q.p) for q in db1000.all_pairs()) < POOL_MIN_SECONDS
     assert scan_special_order2(db1000, jobs=2) == scan_special_order2(db1000, jobs=1)
-    assert started == [2]
+    assert real_pool_sizes == []
 
-    # fewer than 16 pairs: jobs=2 must not start a pool, and must agree with jobs=1
-    assert len(db200) < 16
-    expected = scan_special_order2(db200, jobs=1)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a batch of fewer than 16 items started a pool")
-
-    monkeypatch.setattr("bernpairs.pairs.multiprocessing.Pool", no_pool)
-    assert scan_special_order2(db200, jobs=2) == expected
+def test_small_batches_start_no_pool():
+    # the benchmark's `tables` batches, the sieve below 2000 and the M_2
+    # search's seed and gap sieves, all estimate under the threshold; a fresh
+    # interpreter shows that none of them even imported the pool module
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = (
+        "import sys\n"
+        "from bernpairs.composite import minimal_composite\n"
+        "from bernpairs.pairs import build_database\n"
+        "build_database(2000, jobs=2)\n"
+        "res = minimal_composite(2, 107431, build_database(160, jobs=2), jobs=2)\n"
+        "print(res.value, res.sieved_to, 'multiprocessing.pool' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "107430 328 False\n"
 
 
 def _raise_delta_zero(_):
@@ -442,18 +476,18 @@ def test_errors_survive_pickle():
         assert vars(back) == vars(exc)
 
 
-def test_pool_map_reraises_worker_error(monkeypatch):
-    monkeypatch.setattr("bernpairs.pairs.os.cpu_count", lambda: 2)
+def test_pool_map_reraises_worker_error(real_pool_sizes):
     with _fails_after(60), pytest.raises(DeltaZero) as exc:
-        _pool_map(_raise_delta_zero, list(range(16)), 2)
+        _pool_map(_raise_delta_zero, list(range(16)), 2, lambda _: POOL_MIN_SECONDS)
     assert (exc.value.p, exc.value.l) == (37, 32)
+    assert real_pool_sizes == [2]
 
 
-def test_pool_map_keeps_input_order(monkeypatch):
-    monkeypatch.setattr("bernpairs.pairs.os.cpu_count", lambda: 2)
+def test_pool_map_keeps_input_order(real_pool_sizes):
     work = list(range(40, 0, -1))
     with _fails_after(60):
-        assert _pool_map(str, work, 2) == [str(w) for w in work]
+        assert _pool_map(str, work, 2, lambda _: POOL_MIN_SECONDS) == [str(w) for w in work]
+    assert real_pool_sizes == [2]
 
 
 def test_pool_map_caps_workers(monkeypatch, tmp_path):
@@ -474,26 +508,32 @@ def test_pool_map_caps_workers(monkeypatch, tmp_path):
             return [fn(w) for w in work]
 
     monkeypatch.setattr("bernpairs.pairs.multiprocessing.Pool", FakePool)
-    # (cores, jobs, items) -> workers started, None when inline
+    t = POOL_MIN_SECONDS
+    # (cores, jobs, estimated seconds of each of 20 items) -> workers
+    # started, None when inline
     cases = [
-        ((8, 100000, 20), 8),
-        ((8, 3, 20), 3),
-        ((64, None, 20), 20),
-        ((4, None, 20), 4),
-        ((1, 4, 20), None),
-        ((8, 1, 20), None),
-        ((8, 4, 15), None),
+        ((8, 100000, t), 8),
+        ((8, 3, t), 3),
+        ((64, None, t), 20),
+        ((4, None, t), 4),
+        ((1, 4, t), None),
+        ((8, 1, t), None),
+        ((8, 4, t / 19), 4),
+        ((8, 4, t / 21), None),
     ]
-    for (cores, jobs, n), want in cases:
+    for (cores, jobs, each), want in cases:
         monkeypatch.setattr("bernpairs.pairs.os.cpu_count", lambda: cores)
         started.clear()
-        assert _pool_map(str, list(range(n)), jobs) == [str(i) for i in range(n)]
-        assert started == ([] if want is None else [want]), (cores, jobs, n)
+        work = list(range(20))
+        assert _pool_map(str, work, jobs, lambda _: each) == [str(i) for i in work]
+        assert started == ([] if want is None else [want]), (cores, jobs, each)
 
+    # the primes below 3500 estimate over the threshold
+    assert sum(_row_seconds(p) for p in primes_below(3500) if p >= 5) >= POOL_MIN_SECONDS
     monkeypatch.setattr("bernpairs.pairs.os.cpu_count", lambda: 2)
     started.clear()
     out = str(tmp_path / "db.txt")
-    assert cli.main(["sieve", "--max-p", "200", "--out", out, "--jobs", "100000"]) == 0
+    assert cli.main(["sieve", "--max-p", "3500", "--out", out, "--jobs", "100000"]) == 0
     assert started == [2]
 
 
@@ -502,7 +542,10 @@ def test_oversized_sieve_refused_before_dispatch(monkeypatch):
         raise AssertionError("an oversized sieve started a pool")
 
     monkeypatch.setattr("bernpairs.pairs.multiprocessing.Pool", no_pool)
-    t0 = time.monotonic()
-    with pytest.raises(ResourceLimit, match="p=1699993"):
-        build_database(1_700_000, jobs=2)
-    assert time.monotonic() - t0 < 1
+    # the row size of the largest prime below max_p is checked before the
+    # max_p-byte prime sieve, so 10^8 is refused as fast as 1.7 * 10^6
+    for max_p, top in [(1_700_000, 1699993), (10**8, 99999989)]:
+        t0 = time.monotonic()
+        with pytest.raises(ResourceLimit, match=f"p={top}"):
+            build_database(max_p, jobs=2)
+        assert time.monotonic() - t0 < 1
