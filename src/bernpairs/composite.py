@@ -34,7 +34,7 @@ from . import arith
 from .arith import factorize, integer_nth_root
 from .bernoulli import divided_bernoulli_mod_pk
 from .errors import NotIrregular, NotStrongFriendly
-from .pairs import IrregularPair, PairDatabase, _sieve_many
+from .pairs import IrregularPair, PairDatabase, _extend, build_database
 
 
 class CrtSolution(NamedTuple):
@@ -236,9 +236,11 @@ def minimal_composite(
     """Least joint index over strong friendly sets of n distinct-prime pairs.
 
     Walks each (n-1)-prefix's progression below the bound U (module
-    docstring), sieving prefix primes past db.max_p on demand. u0 seeds U and
-    must itself be a known upper bound; None or inf means unbounded, and the
-    first hit seeds U. Results are deterministic regardless of jobs.
+    docstring), sieving prefix primes past db.max_p on demand (db None: the
+    primes below 160). u0 seeds U; the walk keeps only m < U, so u0 must
+    exceed the value it confirms (u0 = M + 1 confirms M, u0 = M finds nothing
+    and raises ValueError). None or inf means unbounded, and the first hit
+    seeds U. Results are deterministic regardless of jobs.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -247,27 +249,15 @@ def minimal_composite(
     if u0 == math.inf:
         u0 = None
     if db is None:
-        db = _default_seed_db(jobs)
-    zeros = {p: [q.l for q in db.pairs_for(p)] for p in db.irregular_primes()}
-    primes = sorted(zeros)  # irregular primes below `covered`, ascending
-    covered = db.max_p
+        db = build_database(160, jobs=jobs)
+    primes = db.irregular_primes()
     best: Union[int, float] = math.inf if u0 is None else int(u0)
     best_set: Optional[Tuple[IrregularPair, ...]] = None
     log: List[SearchLogEntry] = []
     walked = 0
 
-    def extend(bound: int) -> None:
-        """Sieve the primes in [covered, bound)."""
-        nonlocal covered
-        fresh = [p for p in arith.primes_below(bound) if p >= max(5, covered)]
-        for p, ls in sorted(_sieve_many(fresh, jobs).items()):
-            if ls:
-                zeros[p] = ls
-                primes.append(p)
-        covered = bound
-
     def recurse(prefix: Tuple[IrregularPair, ...], prod: int, i: int) -> None:
-        nonlocal best, best_set, walked
+        nonlocal best, best_set, walked, db, primes
         remaining = n - len(prefix)
         if remaining == 1:  # the first hit in the progression is its minimum
             walked += 1
@@ -289,18 +279,19 @@ def minimal_composite(
             else:
                 limit = integer_nth_root((int(best) - 1) // prod, remaining)
             if i == len(primes):
-                if covered > limit:
+                if db.max_p > limit:
                     return
                 # the gap to the root at once; unbounded, step by step until
                 # a walk sets U
-                extend(covered + 1 if limit == math.inf else int(limit) + 1)
+                bound = db.max_p + 1 if limit == math.inf else int(limit) + 1
+                db = _extend(db, bound, jobs)
+                primes = db.irregular_primes()
                 continue
             q = primes[i]
             if q > limit:
                 return
             i += 1
-            for l in zeros[q]:
-                pair = IrregularPair(q, l)
+            for pair in db.pairs_for(q):
                 if all(_compatible(pair, held) for held in prefix):
                     recurse(prefix + (pair,), prod * q, i)
 
@@ -313,12 +304,7 @@ def minimal_composite(
         c=math.prod(q.p for q in best_set),
         pairs=best_set,
         log=log,
-        sieved_to=covered,
+        sieved_to=db.max_p,
         sets_checked=walked,
     )
 
-
-def _default_seed_db(jobs: Optional[int]) -> PairDatabase:
-    from .pairs import build_database
-
-    return build_database(160, jobs=jobs)

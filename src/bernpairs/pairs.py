@@ -331,36 +331,38 @@ def _pool_map(
 
 def _sieve_many(ps: Sequence[int], jobs: Optional[int]) -> Dict[int, List[int]]:
     """Zero indices for each prime in ps; dispatched largest-first because the
-    per-prime cost grows like p^2. Content is order-independent.
+    per-prime cost grows like p^2. Content is order-independent. Callers go
+    through _extend, which checks the largest row's size first."""
+    return dict(_pool_map(_sieve_worker, sorted(ps, reverse=True), jobs, _row_seconds))
 
-    The largest prime's row size is checked before dispatch: pool.map reports
-    a worker's error only once every chunk is done."""
-    ps = sorted(ps, reverse=True)
-    if ps:
-        _kernels.check_row_size(ps[0])
-    return dict(_pool_map(_sieve_worker, ps, jobs, _row_seconds))
+
+def _extend(db: PairDatabase, max_p: int, jobs: Optional[int]) -> PairDatabase:
+    """db with every prime 5 <= p in [db.max_p, max_p) sieved in.
+
+    The largest new prime's row size is checked before the primes below
+    max_p are listed, which takes max_p bytes, and before any row is sieved:
+    pool.map reports a worker's error only once every chunk is done.
+    """
+    from .arith import primes_below
+
+    lo = max(5, db.max_p)
+    top = max_p - 1
+    while top >= lo and not is_prime(top):
+        top -= 1
+    if top >= lo:
+        _kernels.check_row_size(top)
+    zeros = _sieve_many([p for p in primes_below(max_p) if p >= lo], jobs)
+    entries = dict(db._entries)
+    entries.update((p, [(l, None) for l in ls]) for p, ls in zeros.items())
+    return PairDatabase(max_p, entries)
 
 
 def build_database(max_p: int, jobs: Optional[int] = None) -> PairDatabase:
     """Sieve every prime 5 <= p < max_p. jobs=None uses all cores, 1 is inline.
 
-    Content is deterministic and independent of jobs. The largest prime's row
-    size is checked before the primes below max_p are listed, which takes
-    max_p bytes.
+    Content is deterministic and independent of jobs.
     """
-    from .arith import primes_below
-
-    top = max_p - 1
-    while top >= 5 and not is_prime(top):
-        top -= 1
-    if top >= 5:
-        _kernels.check_row_size(top)
-    ps = [p for p in primes_below(max_p) if p >= 5]
-    results = _sieve_many(ps, jobs)
-    entries = {
-        p: [(l, None) for l in zeros] for p, zeros in results.items() if zeros
-    }
-    return PairDatabase(max_p, entries)
+    return _extend(PairDatabase(2), max_p, jobs)
 
 
 def _residue_and_delta(pair: IrregularPair) -> Tuple[int, int]:

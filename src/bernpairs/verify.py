@@ -37,13 +37,13 @@ from .conjecture import (
 )
 from .pairs import IrregularPair as P
 from .pairs import (
-    PairDatabase, build_database, delta, lift, save_database, scan_special_order2, sieve_prime,
+    PairDatabase, _extend, delta, lift, save_database, scan_special_order2, sieve_prime,
 )
 
 
 class _Ctx:
-    """One lazily built database: a larger bound rebuilds it, a smaller one
-    restricts it.
+    """One database that grows on demand: a larger bound sieves only the
+    primes past its max_p into it, a smaller one restricts it.
 
     db seeds a database built elsewhere, so a caller that already holds one
     never sieves its primes again.
@@ -51,11 +51,11 @@ class _Ctx:
 
     def __init__(self, jobs: Optional[int] = None, db: Optional[PairDatabase] = None):
         self.jobs = jobs
-        self._db = db
+        self._db = PairDatabase(2) if db is None else db
 
     def db(self, max_p: int) -> PairDatabase:
-        if self._db is None or max_p > self._db.max_p:
-            self._db = build_database(max_p, jobs=self.jobs)
+        if max_p > self._db.max_p:
+            self._db = _extend(self._db, max_p, self.jobs)
         return self._db.restrict(max_p)
 
 

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bernpairs import cli
+from bernpairs import cli, pairs
 from bernpairs.arith import primes_below, rational_mod
 from bernpairs.bernoulli import divided_bernoulli_mod_pk
+from bernpairs.composite import minimal_composite
 from bernpairs.errors import (
     BernpairsError,
     DatabaseTooSmall,
@@ -32,6 +33,7 @@ from bernpairs.pairs import (
     IrregularPair,
     OrderedPair,
     PairDatabase,
+    _extend,
     _lift_seconds,
     _pool_map,
     _row_seconds,
@@ -44,6 +46,7 @@ from bernpairs.pairs import (
     scan_special_order2,
     sieve_prime,
 )
+from bernpairs.verify import _Ctx
 
 from test_bernoulli import naive_bernoulli
 
@@ -103,8 +106,11 @@ def test_database_content(db160, db6500):
 
 
 def test_database_restrict(db16000, db160):
-    # every session database is a restriction, so compare one with a build
-    assert db16000.restrict(400) == build_database(400, jobs=1)
+    # every session database is a restriction, so compare one with a build,
+    # and with the smaller one grown by the primes from 160 on
+    built = build_database(400, jobs=1)
+    assert db16000.restrict(400) == built
+    assert _extend(db160, 400, jobs=1) == built
     assert db16000.restrict(100).irregular_primes() == [37, 59, 67]
     with pytest.raises(DatabaseTooSmall):
         db160.restrict(200)
@@ -543,9 +549,33 @@ def test_oversized_sieve_refused_before_dispatch(monkeypatch):
 
     monkeypatch.setattr("bernpairs.pairs.multiprocessing.Pool", no_pool)
     # the row size of the largest prime below max_p is checked before the
-    # max_p-byte prime sieve, so 10^8 is refused as fast as 1.7 * 10^6
-    for max_p, top in [(1_700_000, 1699993), (10**8, 99999989)]:
+    # max_p-byte prime sieve, so 10^8 is refused as fast as 1.7 * 10^6; the
+    # M_2 search's on-demand sieve to the root of 10^15 takes the same check
+    cases = [
+        (lambda: build_database(1_700_000, jobs=2), 1699993),
+        (lambda: build_database(10**8, jobs=2), 99999989),
+        (lambda: minimal_composite(2, 10**15, PairDatabase(10), jobs=2), 31622743),
+    ]
+    for run, top in cases:
         t0 = time.monotonic()
         with pytest.raises(ResourceLimit, match=f"p={top}"):
-            build_database(max_p, jobs=2)
+            run()
         assert time.monotonic() - t0 < 1
+
+
+def test_growing_context_sieves_each_prime_once(db16000, monkeypatch):
+    # verify's context grows its one database: db(400) after db(160) sieves
+    # only the primes from 160 on, so each 5 <= p < 400 is sieved once
+    sieved = []
+    worker = pairs._sieve_worker
+
+    def counting(p):
+        sieved.append(p)
+        return worker(p)
+
+    monkeypatch.setattr("bernpairs.pairs._sieve_worker", counting)
+    ctx = _Ctx(jobs=1)
+    assert ctx.db(160) == db16000.restrict(160)
+    assert ctx.db(400) == db16000.restrict(400)
+    assert sorted(sieved) == [p for p in primes_below(400) if p >= 5]
+    assert len(sieved) == 76
